@@ -84,7 +84,10 @@ type (
 	// selection criteria.
 	ManagerConfig = manager.Config
 
-	// Evaluator measures a model version's accuracy.
+	// Evaluator measures a model version's accuracy. GenerateLibrary
+	// hands it a parameter-free skeleton of each pruned version unless it
+	// also has a NeedsWeights() bool method returning true (see
+	// accuracy.WeightReader), as the trained evaluator does.
 	Evaluator = accuracy.Evaluator
 
 	// Dataset is a deterministic synthetic image dataset.

@@ -15,9 +15,11 @@
 //
 // With -check, instead of writing JSON the input is compared against a
 // baseline file: each benchmark present in both must not regress its
-// ns/op by more than the -tol fraction, or the command exits nonzero.
-// scripts/verify.sh uses this to guard the disabled-tracer overhead of
-// the serving hot path (BenchmarkRunEdge).
+// ns/op by more than the -tol fraction, nor its allocs/op or B/op by more
+// than 5%, or the command exits nonzero. ns/op is noisy on shared hosts,
+// so -tol is loose; allocation counts are the stable signal, so their
+// bound is fixed and tight. scripts/verify.sh uses this to guard the
+// serving hot path and library generation.
 //
 // With -compare, the two positional arguments are committed baseline
 // JSON files (old then new) and the output is a per-benchmark delta
@@ -53,7 +55,7 @@ func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout")
 	check := flag.Bool("check", false, "compare input against -baseline instead of emitting JSON")
 	baseline := flag.String("baseline", "", "baseline JSON file (required with -check)")
-	tol := flag.Float64("tol", 0.25, "allowed fractional ns/op regression with -check")
+	tol := flag.Float64("tol", 0.25, "allowed fractional ns/op regression with -check (allocs/op and B/op always allow 5%)")
 	note := flag.String("note", "", "embed this string as a _note key in the output JSON")
 	compare := flag.Bool("compare", false, "diff two committed baseline JSON files: benchjson -compare OLD NEW")
 	flag.Parse()
@@ -110,7 +112,7 @@ func main() {
 		report, failed := Check(results, base, *tol)
 		fmt.Print(report)
 		if failed {
-			log.Fatalf("benchmark regression beyond %.0f%% tolerance", *tol*100)
+			log.Fatalf("benchmark regression: ns/op beyond %.0f%% or allocs/op, B/op beyond %.0f%%", *tol*100, memTol*100)
 		}
 		return
 	}
@@ -212,11 +214,17 @@ func Parse(r io.Reader) (map[string]Result, error) {
 	return results, sc.Err()
 }
 
+// memTol is the fractional allocs/op and B/op growth Check allows.
+// Allocation counts barely move between runs or machines, unlike ns/op,
+// so they are gated tightly whatever the ns/op tolerance.
+const memTol = 0.05
+
 // Check compares measured results against a baseline. Benchmarks in only
 // one of the two sets are skipped (the baseline may be broader or narrower
 // than the run). A benchmark fails when its ns/op exceeds the baseline by
-// more than tol (a fraction, e.g. 0.25 = +25%); speedups always pass. The
-// returned report has one line per compared benchmark, sorted by name.
+// more than tol (a fraction, e.g. 0.25 = +25%), or its allocs/op or B/op
+// by more than memTol; improvements always pass. The returned report has
+// one line per compared benchmark, sorted by name.
 func Check(got, base map[string]Result, tol float64) (report string, failed bool) {
 	names := make([]string, 0, len(got))
 	for name := range got {
@@ -227,19 +235,29 @@ func Check(got, base map[string]Result, tol float64) (report string, failed bool
 	sort.Strings(names)
 	var b strings.Builder
 	for _, name := range names {
-		cur, ref := got[name].Metrics["ns/op"], base[name].Metrics["ns/op"]
-		if ref <= 0 || cur <= 0 {
-			fmt.Fprintf(&b, "skip  %-40s (no ns/op to compare)\n", name)
-			continue
+		cur, ref := got[name].Metrics, base[name].Metrics
+		line := "(no ns/op to compare)"
+		var over []string
+		if c, r := cur["ns/op"], ref["ns/op"]; c > 0 && r > 0 {
+			line = fmt.Sprintf("%12.0f ns/op vs %12.0f baseline (%+.1f%%)", c, r, (c/r-1)*100)
+			if c/r > 1+tol {
+				over = append(over, fmt.Sprintf("ns/op over %.0f%%", tol*100))
+			}
 		}
-		ratio := cur / ref
+		for _, unit := range []string{"allocs/op", "B/op"} {
+			c, okC := cur[unit]
+			r, okR := ref[unit]
+			if okC && okR && c > r*(1+memTol) {
+				over = append(over, fmt.Sprintf("%s %.0f vs %.0f baseline, over %.0f%%", unit, c, r, memTol*100))
+			}
+		}
 		verdict := "ok  "
-		if ratio > 1+tol {
+		if len(over) > 0 {
 			verdict = "FAIL"
 			failed = true
+			line += "; " + strings.Join(over, "; ")
 		}
-		fmt.Fprintf(&b, "%s  %-40s %12.0f ns/op vs %12.0f baseline (%+.1f%%)\n",
-			verdict, name, cur, ref, (ratio-1)*100)
+		fmt.Fprintf(&b, "%s  %-40s %s\n", verdict, name, line)
 	}
 	if len(names) == 0 {
 		b.WriteString("no overlapping benchmarks to compare\n")

@@ -90,6 +90,44 @@ func TestCheck(t *testing.T) {
 	}
 }
 
+// allocs/op and B/op are gated at 5% whatever the ns/op tolerance: a
+// benchmark that keeps its speed but allocates more fails, one that
+// allocates less or within 5% passes.
+func TestCheckGatesAllocations(t *testing.T) {
+	base := map[string]Result{
+		"BenchmarkA": {Metrics: map[string]float64{"ns/op": 100, "allocs/op": 100, "B/op": 1000}},
+		"BenchmarkZ": {Metrics: map[string]float64{"ns/op": 100, "allocs/op": 0, "B/op": 0}},
+	}
+	cases := []struct {
+		name     string
+		metrics  map[string]float64
+		fail     bool
+		inReport string
+	}{
+		{"same", map[string]float64{"ns/op": 100, "allocs/op": 100, "B/op": 1000}, false, "ok"},
+		{"within 5%", map[string]float64{"ns/op": 100, "allocs/op": 105, "B/op": 1050}, false, "ok"},
+		{"fewer allocs", map[string]float64{"ns/op": 100, "allocs/op": 1, "B/op": 10}, false, "ok"},
+		{"allocs +6%", map[string]float64{"ns/op": 100, "allocs/op": 106, "B/op": 1000}, true, "allocs/op 106 vs 100"},
+		{"bytes +6%", map[string]float64{"ns/op": 90, "allocs/op": 100, "B/op": 1060}, true, "B/op 1060 vs 1000"},
+		{"ns/op within loose tol", map[string]float64{"ns/op": 120, "allocs/op": 100, "B/op": 1000}, false, "ok"},
+		{"no alloc columns", map[string]float64{"ns/op": 100}, false, "ok"},
+	}
+	for _, tc := range cases {
+		report, failed := Check(map[string]Result{"BenchmarkA": {Metrics: tc.metrics}}, base, 0.25)
+		if failed != tc.fail {
+			t.Fatalf("%s: failed = %v, want %v:\n%s", tc.name, failed, tc.fail, report)
+		}
+		if !strings.Contains(report, tc.inReport) {
+			t.Fatalf("%s: report lacks %q:\n%s", tc.name, tc.inReport, report)
+		}
+	}
+	// A zero-alloc baseline admits no allocation at all.
+	report, failed := Check(map[string]Result{"BenchmarkZ": {Metrics: map[string]float64{"ns/op": 100, "allocs/op": 1, "B/op": 8}}}, base, 0.25)
+	if !failed || !strings.Contains(report, "allocs/op 1 vs 0") {
+		t.Fatalf("allocation over a zero baseline passed:\n%s", report)
+	}
+}
+
 // Baselines may carry "_"-prefixed annotation keys (e.g. the "_note"
 // string -note embeds); the decoder must skip them and still reject
 // malformed benchmark entries.

@@ -25,6 +25,21 @@ type Evaluator interface {
 	Accuracy(m *model.Model) (float64, error)
 }
 
+// WeightReader is the optional interface of an Evaluator that reads the
+// model's parameters (it trains or runs inference). library.Generate
+// hands every other evaluator a shape-only skeleton (model.Model.Skeleton)
+// and copies weights only for one that declares it needs them; an
+// evaluator that runs a skeleton gets a "shape-only skeleton" error.
+type WeightReader interface {
+	NeedsWeights() bool
+}
+
+// NeedsWeights reports whether e declared that it reads model weights.
+func NeedsWeights(e Evaluator) bool {
+	w, ok := e.(WeightReader)
+	return ok && w.NeedsWeights()
+}
+
 // Calibrated evaluates accuracy from the paper-calibrated curves.
 type Calibrated struct {
 	// Baseline is the unpruned TOP-1 accuracy in [0,1].
@@ -75,7 +90,8 @@ func EffectivePruneFraction(m *model.Model) float64 {
 	return 1 - float64(cur)/float64(base)
 }
 
-// Accuracy implements Evaluator.
+// Accuracy implements Evaluator. It reads channel counts only
+// (ConvChannels against BaseChannels), so a shape-only skeleton serves.
 func (c *Calibrated) Accuracy(m *model.Model) (float64, error) {
 	p := EffectivePruneFraction(m)
 	if p < 0 || p >= 1 {
@@ -110,6 +126,9 @@ type Trained struct {
 func NewTrained(ds *dataset.Dataset, opts train.Options) *Trained {
 	return &Trained{Dataset: ds, Opts: opts}
 }
+
+// NeedsWeights implements WeightReader: Trained retrains the weights.
+func (t *Trained) NeedsWeights() bool { return true }
 
 // Accuracy implements Evaluator: it retrains the model in place (the
 // paper retrains each pruned model before adding it to the library) and

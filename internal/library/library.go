@@ -5,9 +5,11 @@
 // one Fixed-Pruning accelerator per pruned model and a single
 // Flexible-Pruning accelerator per initial model.
 //
-// Generation is a three-stage pipeline. Stage 1 prunes and evaluates each
-// rate independently (the weight-heavy work), fanned across Config.Workers
-// goroutines with indexed result slots. Stage 2 maps and synthesizes one
+// Generation is a three-stage pipeline. Stage 1 ranks the initial
+// model's filters once, then prunes and evaluates each rate independently,
+// fanned across Config.Workers goroutines with indexed result slots. It
+// prunes shapes, not weights: each rate gets a parameter-free skeleton
+// unless the evaluator declares accuracy.WeightReader or KeepModels is set. Stage 2 maps and synthesizes one
 // fixed accelerator per *distinct* channel configuration — dataflow
 // constraints round several small rates to the same shape, so duplicate
 // rates reuse the memoized synthesis — and measures the flexible
@@ -115,8 +117,9 @@ type Config struct {
 	Device *synth.Device
 	// ClockHz defaults to finn.DefaultClockHz.
 	ClockHz float64
-	// KeepModels retains pruned weights in the entries (memory-heavy for
-	// paper-scale models; tests and examples with tiny models set it).
+	// KeepModels retains pruned weights in the entries, which makes every
+	// rate copy the initial weights (memory-heavy for paper-scale models;
+	// tests and examples with tiny models set it).
 	KeepModels bool
 	// FlexSwitchTime defaults to 1 ms.
 	FlexSwitchTime time.Duration
@@ -201,9 +204,21 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 		return nil, err
 	}
 
-	// Stage 1: prune and evaluate every rate. Shrink clones before
-	// mutating and the evaluator only reads its own clone, so rates are
-	// independent; results land in indexed slots.
+	// Stage 1: plan every rate from one filter ranking, apply the plan to
+	// a fresh copy of the initial model and evaluate it. The copy is a
+	// shape-only skeleton unless the evaluator reads weights or the
+	// caller keeps the models: everything else downstream (the mapper,
+	// the calibrated evaluator) reads channel counts only. Each rate
+	// owns its copy, so rates are independent; results land in indexed
+	// slots.
+	rank, err := prune.Rank(initial)
+	if err != nil {
+		return nil, err
+	}
+	copyInitial := initial.Skeleton
+	if cfg.KeepModels || accuracy.NeedsWeights(cfg.Evaluator) {
+		copyInitial = initial.Clone
+	}
 	type pruned struct {
 		model *model.Model
 		plan  *prune.Plan
@@ -211,7 +226,14 @@ func Generate(initial *model.Model, cfg Config) (*Library, error) {
 	}
 	stage1 := make([]pruned, len(rates))
 	err = parallel.ForEachErr(len(rates), workers, func(i int) error {
-		m, plan, err := prune.Shrink(initial, rates[i], gran)
+		plan, err := rank.Plan(rates[i], gran)
+		if err != nil {
+			return fmt.Errorf("library: rate %v: %w", rates[i], err)
+		}
+		m, err := copyInitial()
+		if err == nil {
+			err = prune.Apply(m, plan)
+		}
 		if err != nil {
 			return fmt.Errorf("library: rate %v: %w", rates[i], err)
 		}

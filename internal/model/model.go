@@ -321,8 +321,18 @@ func Build(cfg Config) (*Model, error) {
 }
 
 // Clone deep-copies the model (weights included, gradients zeroed).
-func (m *Model) Clone() (*Model, error) {
-	net, err := nn.CloneNetwork(m.Net)
+func (m *Model) Clone() (*Model, error) { return m.copyWith(nn.CloneNetwork) }
+
+// Skeleton copies the model without its parameter tensors: the layer
+// graph with geometry, channel counts and quantizers. Pruning a skeleton
+// (prune.Apply) edits shapes only, which is all the dataflow mapper and a
+// shape-only evaluator read; running it returns an error.
+func (m *Model) Skeleton() (*Model, error) { return m.copyWith(nn.Skeleton) }
+
+// copyWith copies the model's metadata around copyNet's copy of the
+// network.
+func (m *Model) copyWith(copyNet func(*nn.Network) (*nn.Network, error)) (*Model, error) {
+	net, err := copyNet(m.Net)
 	if err != nil {
 		return nil, err
 	}

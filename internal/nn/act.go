@@ -41,7 +41,7 @@ func NewScaleShift(id string, channels int) (*ScaleShift, error) {
 func (s *ScaleShift) Name() string { return "scaleshift:" + s.ID }
 
 // Params implements Layer.
-func (s *ScaleShift) Params() []*Param { return []*Param{s.Gamma, s.Beta} }
+func (s *ScaleShift) Params() []*Param { return presentParams(s.Gamma, s.Beta) }
 
 // spatial returns the per-channel spatial footprint of x.
 func (s *ScaleShift) spatial(x *tensor.Tensor) (int, error) {
@@ -53,6 +53,9 @@ func (s *ScaleShift) spatial(x *tensor.Tensor) (int, error) {
 
 // Forward implements Layer.
 func (s *ScaleShift) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+	if s.Gamma == nil {
+		return nil, errSkeleton(s.Name())
+	}
 	sp, err := s.spatial(x)
 	if err != nil {
 		return nil, err
@@ -76,6 +79,9 @@ func (s *ScaleShift) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, erro
 
 // Backward implements Layer.
 func (s *ScaleShift) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
+	if s.Gamma == nil {
+		return nil, errSkeleton(s.Name())
+	}
 	if s.x == nil {
 		return nil, fmt.Errorf("nn: scaleshift %q Backward without Forward(train=true)", s.ID)
 	}
@@ -106,19 +112,13 @@ func (s *ScaleShift) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 
 // PruneChannels keeps only the listed channels (complement of remove).
 func (s *ScaleShift) PruneChannels(remove []int) error {
-	keep, err := keepIndices(s.Channels, remove)
+	kept, err := checkRemove(s.Channels, remove)
 	if err != nil {
 		return fmt.Errorf("nn: scaleshift %q: %w", s.ID, err)
 	}
-	ng := tensor.New(len(keep))
-	nb := tensor.New(len(keep))
-	for ni, ci := range keep {
-		ng.Data()[ni] = s.Gamma.Value.Data()[ci]
-		nb.Data()[ni] = s.Beta.Value.Data()[ci]
-	}
-	s.Gamma = newParam(s.ID+".gamma", ng)
-	s.Beta = newParam(s.ID+".beta", nb)
-	s.Channels = len(keep)
+	s.Gamma = keepGroups(s.Gamma, 1, 1, remove, kept)
+	s.Beta = keepGroups(s.Beta, 1, 1, remove, kept)
+	s.Channels = kept
 	return nil
 }
 

@@ -2,79 +2,108 @@ package nn
 
 import "fmt"
 
-// cloneParam deep-copies a parameter (gradient starts zeroed).
-func cloneParam(p *Param) *Param {
-	if p == nil {
+// cloneParam deep-copies a parameter (gradient starts zeroed). Without
+// params it returns nil: the copy is a shape-only skeleton.
+func cloneParam(p *Param, params bool) *Param {
+	if p == nil || !params {
 		return nil
 	}
 	return newParam(p.Name, p.Value.Clone())
 }
 
-// CloneLayer deep-copies the convolution.
-func (c *Conv2D) CloneLayer() Layer {
+// cloneLayer copies the convolution's geometry and quantizer, and its
+// parameters when params is set.
+func (c *Conv2D) cloneLayer(params bool) Layer {
 	return &Conv2D{
 		ID:         c.ID,
 		Geom:       c.Geom,
 		OutC:       c.OutC,
-		Weight:     cloneParam(c.Weight),
-		Bias:       cloneParam(c.Bias),
+		Weight:     cloneParam(c.Weight, params),
+		Bias:       cloneParam(c.Bias, params),
 		Quant:      c.Quant,
 		PerChannel: c.PerChannel,
 	}
 }
 
-// CloneLayer deep-copies the dense layer.
-func (d *Dense) CloneLayer() Layer {
+// cloneLayer copies the dense layer's sizes and quantizer, and its
+// parameters when params is set.
+func (d *Dense) cloneLayer(params bool) Layer {
 	return &Dense{
 		ID:     d.ID,
 		In:     d.In,
 		Out:    d.Out,
 		Flat:   d.Flat,
-		Weight: cloneParam(d.Weight),
-		Bias:   cloneParam(d.Bias),
+		Weight: cloneParam(d.Weight, params),
+		Bias:   cloneParam(d.Bias, params),
 		Quant:  d.Quant,
 	}
 }
 
-// CloneLayer deep-copies the pooling layer.
-func (m *MaxPool2D) CloneLayer() Layer {
+// cloneLayer copies the pooling layer.
+func (m *MaxPool2D) cloneLayer(bool) Layer {
 	return &MaxPool2D{ID: m.ID, Geom: m.Geom}
 }
 
-// CloneLayer deep-copies the flatten layer.
-func (f *Flatten) CloneLayer() Layer { return &Flatten{ID: f.ID} }
+// cloneLayer copies the flatten layer.
+func (f *Flatten) cloneLayer(bool) Layer { return &Flatten{ID: f.ID} }
 
-// CloneLayer deep-copies the affine layer.
-func (s *ScaleShift) CloneLayer() Layer {
+// cloneLayer copies the affine layer's channel count, and its parameters
+// when params is set.
+func (s *ScaleShift) cloneLayer(params bool) Layer {
 	return &ScaleShift{
 		ID:       s.ID,
 		Channels: s.Channels,
-		Gamma:    cloneParam(s.Gamma),
-		Beta:     cloneParam(s.Beta),
+		Gamma:    cloneParam(s.Gamma, params),
+		Beta:     cloneParam(s.Beta, params),
 	}
 }
 
-// CloneLayer deep-copies the quantized activation.
-func (a *QuantAct) CloneLayer() Layer { return &QuantAct{ID: a.ID, Q: a.Q} }
+// cloneLayer copies the quantized activation.
+func (a *QuantAct) cloneLayer(bool) Layer { return &QuantAct{ID: a.ID, Q: a.Q} }
 
-// CloneLayer deep-copies the ReLU.
-func (r *ReLU) CloneLayer() Layer { return &ReLU{ID: r.ID} }
+// cloneLayer copies the ReLU.
+func (r *ReLU) cloneLayer(bool) Layer { return &ReLU{ID: r.ID} }
 
 // layerCloner is implemented by every layer in this package.
-type layerCloner interface{ CloneLayer() Layer }
+type layerCloner interface{ cloneLayer(params bool) Layer }
 
 // CloneNetwork deep-copies a network: parameters are copied, caches are
 // not. It returns an error if a layer does not support cloning.
-func CloneNetwork(n *Network) (*Network, error) {
+func CloneNetwork(n *Network) (*Network, error) { return cloneNetwork(n, true) }
+
+// Skeleton copies a network's layer graph — geometry, channel counts and
+// quantizers — without its parameter tensors. Pruning a skeleton edits
+// shapes only; running one (Forward, Backward, EffectiveWeights) returns
+// an error naming the layer.
+func Skeleton(n *Network) (*Network, error) { return cloneNetwork(n, false) }
+
+func cloneNetwork(n *Network, params bool) (*Network, error) {
 	out := &Network{}
 	for _, nl := range n.Layers {
 		c, ok := nl.Layer.(layerCloner)
 		if !ok {
 			return nil, fmt.Errorf("nn: layer %d (%s) does not support cloning", nl.Index, nl.Layer.Name())
 		}
-		out.Append(c.CloneLayer())
+		out.Append(c.cloneLayer(params))
 	}
 	return out, nil
+}
+
+// errSkeleton is the error a shape-only skeleton layer returns when asked
+// to compute.
+func errSkeleton(layer string) error {
+	return fmt.Errorf("nn: %s is a shape-only skeleton without parameters", layer)
+}
+
+// presentParams drops the nil entries (no bias, or a skeleton) from ps.
+func presentParams(ps ...*Param) []*Param {
+	out := ps[:0]
+	for _, p := range ps {
+		if p != nil {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // OutputShapeAfter computes the CHW shape flowing out of each layer for a
@@ -82,31 +111,36 @@ func CloneNetwork(n *Network) (*Network, error) {
 // dataflow mapper and by pruning to find the flatten footprint. The return
 // value has one entry per layer.
 func OutputShapeAfter(n *Network, inC, inH, inW int) ([][]int, error) {
-	cur := []int{inC, inH, inW}
+	cur, rank := [3]int{inC, inH, inW}, 3
+	// One backing array for every shape: the mapper and pruning call this
+	// once per pruned version.
+	buf := make([]int, 0, 3*len(n.Layers))
 	shapes := make([][]int, 0, len(n.Layers))
 	for _, nl := range n.Layers {
 		switch l := nl.Layer.(type) {
 		case *Conv2D:
-			if len(cur) != 3 || cur[0] != l.Geom.InC || cur[1] != l.Geom.InH || cur[2] != l.Geom.InW {
-				return nil, fmt.Errorf("nn: shape %v into conv %q wanting %dx%dx%d", cur, l.ID, l.Geom.InC, l.Geom.InH, l.Geom.InW)
+			if rank != 3 || cur != [3]int{l.Geom.InC, l.Geom.InH, l.Geom.InW} {
+				return nil, fmt.Errorf("nn: shape %v into conv %q wanting %dx%dx%d", cur[:rank], l.ID, l.Geom.InC, l.Geom.InH, l.Geom.InW)
 			}
-			cur = []int{l.OutC, l.Geom.OutH(), l.Geom.OutW()}
+			cur = [3]int{l.OutC, l.Geom.OutH(), l.Geom.OutW()}
 		case *MaxPool2D:
-			if len(cur) != 3 || cur[0] != l.Geom.InC || cur[1] != l.Geom.InH || cur[2] != l.Geom.InW {
-				return nil, fmt.Errorf("nn: shape %v into pool %q wanting %dx%dx%d", cur, l.ID, l.Geom.InC, l.Geom.InH, l.Geom.InW)
+			if rank != 3 || cur != [3]int{l.Geom.InC, l.Geom.InH, l.Geom.InW} {
+				return nil, fmt.Errorf("nn: shape %v into pool %q wanting %dx%dx%d", cur[:rank], l.ID, l.Geom.InC, l.Geom.InH, l.Geom.InW)
 			}
-			cur = []int{l.Geom.InC, l.Geom.OutH(), l.Geom.OutW()}
+			cur = [3]int{l.Geom.InC, l.Geom.OutH(), l.Geom.OutW()}
 		case *Dense:
-			if volume(cur) != l.In {
-				return nil, fmt.Errorf("nn: volume %d into dense %q wanting %d", volume(cur), l.ID, l.In)
+			if volume(cur[:rank]) != l.In {
+				return nil, fmt.Errorf("nn: volume %d into dense %q wanting %d", volume(cur[:rank]), l.ID, l.In)
 			}
-			cur = []int{l.Out}
+			cur, rank = [3]int{l.Out}, 1
 		case *Flatten:
-			cur = []int{volume(cur)}
+			cur, rank = [3]int{volume(cur[:rank])}, 1
 		default:
 			// Channel-wise layers preserve shape.
 		}
-		shapes = append(shapes, append([]int(nil), cur...))
+		start := len(buf)
+		buf = append(buf, cur[:rank]...)
+		shapes = append(shapes, buf[start:len(buf):len(buf)])
 	}
 	return shapes, nil
 }

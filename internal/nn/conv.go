@@ -93,12 +93,7 @@ func NewConv2D(cfg ConvConfig) (*Conv2D, error) {
 func (c *Conv2D) Name() string { return "conv2d:" + c.ID }
 
 // Params implements Layer.
-func (c *Conv2D) Params() []*Param {
-	if c.Bias != nil {
-		return []*Param{c.Weight, c.Bias}
-	}
-	return []*Param{c.Weight}
-}
+func (c *Conv2D) Params() []*Param { return presentParams(c.Weight, c.Bias) }
 
 // EffectiveWeights returns the weights as they enter the compute: the
 // (OutC, InC·KH·KW) matrix after fake quantization (per-channel when
@@ -108,6 +103,9 @@ func (c *Conv2D) Params() []*Param {
 // repeated inference does not re-quantize; callers must treat the returned
 // tensor as read-only.
 func (c *Conv2D) EffectiveWeights() (*tensor.Tensor, error) {
+	if c.Weight == nil {
+		return nil, errSkeleton(c.Name())
+	}
 	k := c.Geom.InC * c.Geom.KH * c.Geom.KW
 	wm, err := c.Weight.Value.Reshape(c.OutC, k)
 	if err != nil {
@@ -213,6 +211,9 @@ func (c *Conv2D) forwardInt8(x *tensor.Tensor, oh, ow int) (*tensor.Tensor, erro
 // im2col matrix lives in borrowed scratch — inference returns it to the
 // arena before Forward exits, training keeps it until Backward finishes.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+	if c.Weight == nil {
+		return nil, errSkeleton(c.Name())
+	}
 	oh, ow := c.Geom.OutH(), c.Geom.OutW()
 	if !train && c.useInt8() {
 		return c.forwardInt8(x, oh, ow)
@@ -249,6 +250,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
+	if c.Weight == nil {
+		return nil, errSkeleton(c.Name())
+	}
 	if c.cols == nil {
 		return nil, fmt.Errorf("nn: conv %q Backward without Forward(train=true)", c.ID)
 	}
@@ -309,49 +313,26 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // from the layer, shrinking OutC. The caller is responsible for shrinking
 // the consuming layer's input channels with PruneInputChannels.
 func (c *Conv2D) PruneFilters(remove []int) error {
-	keep, err := keepIndices(c.OutC, remove)
+	kept, err := checkRemove(c.OutC, remove)
 	if err != nil {
 		return fmt.Errorf("nn: conv %q: %w", c.ID, err)
 	}
 	k := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	nw := tensor.New(len(keep), c.Geom.InC, c.Geom.KH, c.Geom.KW)
-	src := c.Weight.Value.Data()
-	dst := nw.Data()
-	for ni, oi := range keep {
-		copy(dst[ni*k:(ni+1)*k], src[oi*k:(oi+1)*k])
-	}
-	c.Weight = newParam(c.ID+".weight", nw)
-	if c.Bias != nil {
-		nb := tensor.New(len(keep))
-		for ni, oi := range keep {
-			nb.Data()[ni] = c.Bias.Value.Data()[oi]
-		}
-		c.Bias = newParam(c.ID+".bias", nb)
-	}
-	c.OutC = len(keep)
+	c.Weight = keepGroups(c.Weight, 1, k, remove, kept, c.Geom.InC, c.Geom.KH, c.Geom.KW)
+	c.Bias = keepGroups(c.Bias, 1, 1, remove, kept)
+	c.OutC = kept
 	return nil
 }
 
 // PruneInputChannels removes the given input channels from the layer's
 // weights and geometry, matching an upstream filter prune.
 func (c *Conv2D) PruneInputChannels(remove []int) error {
-	keep, err := keepIndices(c.Geom.InC, remove)
+	kept, err := checkRemove(c.Geom.InC, remove)
 	if err != nil {
 		return fmt.Errorf("nn: conv %q inputs: %w", c.ID, err)
 	}
-	kk := c.Geom.KH * c.Geom.KW
-	nw := tensor.New(c.OutC, len(keep), c.Geom.KH, c.Geom.KW)
-	src := c.Weight.Value.Data()
-	dst := nw.Data()
-	oldK := c.Geom.InC * kk
-	newK := len(keep) * kk
-	for o := 0; o < c.OutC; o++ {
-		for ni, ci := range keep {
-			copy(dst[o*newK+ni*kk:o*newK+(ni+1)*kk], src[o*oldK+ci*kk:o*oldK+(ci+1)*kk])
-		}
-	}
-	c.Weight = newParam(c.ID+".weight", nw)
-	c.Geom.InC = len(keep)
+	c.Weight = keepGroups(c.Weight, c.OutC, c.Geom.KH*c.Geom.KW, remove, c.OutC, kept, c.Geom.KH, c.Geom.KW)
+	c.Geom.InC = kept
 	return nil
 }
 
@@ -371,29 +352,46 @@ func (c *Conv2D) FilterL1Norms() []float64 {
 	return norms
 }
 
-// keepIndices validates remove (strictly ascending, in range, not removing
-// everything) and returns the complement.
-func keepIndices(n int, remove []int) ([]int, error) {
+// checkRemove validates remove (strictly ascending, in range, not removing
+// everything) against n channels and returns how many survive.
+func checkRemove(n int, remove []int) (int, error) {
 	if len(remove) >= n {
-		return nil, fmt.Errorf("cannot remove %d of %d channels", len(remove), n)
+		return 0, fmt.Errorf("cannot remove %d of %d channels", len(remove), n)
 	}
 	prev := -1
-	rm := make(map[int]bool, len(remove))
 	for _, r := range remove {
 		if r <= prev {
-			return nil, fmt.Errorf("remove indices must be strictly ascending, got %v", remove)
+			return 0, fmt.Errorf("remove indices must be strictly ascending, got %v", remove)
 		}
 		if r < 0 || r >= n {
-			return nil, fmt.Errorf("remove index %d out of range [0,%d)", r, n)
+			return 0, fmt.Errorf("remove index %d out of range [0,%d)", r, n)
 		}
 		prev = r
-		rm[r] = true
 	}
-	keep := make([]int, 0, n-len(remove))
-	for i := 0; i < n; i++ {
-		if !rm[i] {
-			keep = append(keep, i)
+	return n - len(remove), nil
+}
+
+// keepGroups returns a copy of p shaped as shape that drops, from each of
+// its rows rows, the runs of group consecutive values at the checked
+// indices remove. It is how every prune slices a parameter. A nil p (no
+// bias, or a shape-only skeleton) stays nil, so pruning a skeleton copies
+// no tensor.
+func keepGroups(p *Param, rows, group int, remove []int, shape ...int) *Param {
+	if p == nil {
+		return nil
+	}
+	nt := tensor.New(shape...)
+	src, dst := p.Value.Data(), nt.Data()
+	oldRow, newRow := len(src)/rows, len(dst)/rows
+	for r := 0; r < rows; r++ {
+		row, out, rm := src[r*oldRow:(r+1)*oldRow], dst[r*newRow:(r+1)*newRow], remove
+		for g := 0; g*group < oldRow; g++ {
+			if len(rm) > 0 && rm[0] == g {
+				rm = rm[1:]
+				continue
+			}
+			out = out[copy(out, row[g*group:(g+1)*group]):]
 		}
 	}
-	return keep, nil
+	return newParam(p.Name, nt)
 }

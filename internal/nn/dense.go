@@ -77,17 +77,15 @@ func NewDense(cfg DenseConfig) (*Dense, error) {
 func (d *Dense) Name() string { return "dense:" + d.ID }
 
 // Params implements Layer.
-func (d *Dense) Params() []*Param {
-	if d.Bias != nil {
-		return []*Param{d.Weight, d.Bias}
-	}
-	return []*Param{d.Weight}
-}
+func (d *Dense) Params() []*Param { return presentParams(d.Weight, d.Bias) }
 
 // EffectiveWeights returns the weights as they enter the compute (after
 // fake quantization), cached until the weight version changes; see
 // Conv2D.EffectiveWeights. Callers must treat the result as read-only.
 func (d *Dense) EffectiveWeights() (*tensor.Tensor, error) {
+	if d.Weight == nil {
+		return nil, errSkeleton(d.Name())
+	}
 	if d.Quant == nil {
 		return d.Weight.Value, nil
 	}
@@ -163,6 +161,9 @@ func (d *Dense) forwardInt8(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
+	if d.Weight == nil {
+		return nil, errSkeleton(d.Name())
+	}
 	if x.Len() != d.In {
 		return nil, fmt.Errorf("nn: dense %q input volume %d, want %d", d.ID, x.Len(), d.In)
 	}
@@ -200,6 +201,9 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
+	if d.Weight == nil {
+		return nil, errSkeleton(d.Name())
+	}
 	if d.x == nil {
 		return nil, fmt.Errorf("nn: dense %q Backward without Forward(train=true)", d.ID)
 	}
@@ -260,25 +264,13 @@ func (d *Dense) NeuronL1Norms() []float64 {
 // indices), shrinking Out. The caller shrinks the consumer's inputs with
 // PruneInputs.
 func (d *Dense) PruneNeurons(remove []int) error {
-	keep, err := keepIndices(d.Out, remove)
+	kept, err := checkRemove(d.Out, remove)
 	if err != nil {
 		return fmt.Errorf("nn: dense %q neurons: %w", d.ID, err)
 	}
-	nw := tensor.New(len(keep), d.In)
-	src := d.Weight.Value.Data()
-	dst := nw.Data()
-	for ni, oi := range keep {
-		copy(dst[ni*d.In:(ni+1)*d.In], src[oi*d.In:(oi+1)*d.In])
-	}
-	d.Weight = newParam(d.ID+".weight", nw)
-	if d.Bias != nil {
-		nb := tensor.New(len(keep))
-		for ni, oi := range keep {
-			nb.Data()[ni] = d.Bias.Value.Data()[oi]
-		}
-		d.Bias = newParam(d.ID+".bias", nb)
-	}
-	d.Out = len(keep)
+	d.Weight = keepGroups(d.Weight, 1, d.In, remove, kept, d.In)
+	d.Bias = keepGroups(d.Bias, 1, 1, remove, kept)
+	d.Out = kept
 	return nil
 }
 
@@ -290,21 +282,12 @@ func (d *Dense) PruneInputs(remove []int, groupSize int) error {
 		return fmt.Errorf("nn: dense %q group size %d does not divide In %d", d.ID, groupSize, d.In)
 	}
 	groups := d.In / groupSize
-	keep, err := keepIndices(groups, remove)
+	kept, err := checkRemove(groups, remove)
 	if err != nil {
 		return fmt.Errorf("nn: dense %q inputs: %w", d.ID, err)
 	}
-	newIn := len(keep) * groupSize
-	nw := tensor.New(d.Out, newIn)
-	src := d.Weight.Value.Data()
-	dst := nw.Data()
-	for o := 0; o < d.Out; o++ {
-		for ni, gi := range keep {
-			copy(dst[o*newIn+ni*groupSize:o*newIn+(ni+1)*groupSize],
-				src[o*d.In+gi*groupSize:o*d.In+(gi+1)*groupSize])
-		}
-	}
-	d.Weight = newParam(d.ID+".weight", nw)
+	newIn := kept * groupSize
+	d.Weight = keepGroups(d.Weight, d.Out, groupSize, remove, d.Out, newIn)
 	d.In = newIn
 	return nil
 }

@@ -293,7 +293,7 @@ func TestPerChannelConvQuantization(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Clone preserves the flag.
-	cc := c.CloneLayer().(*Conv2D)
+	cc := c.cloneLayer(true).(*Conv2D)
 	if !cc.PerChannel {
 		t.Fatal("clone dropped PerChannel")
 	}

@@ -2,7 +2,6 @@ package prune
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 	"repro/internal/nn"
@@ -38,35 +37,20 @@ func PlanNeurons(m *model.Model, rate float64, granularity []int) (*DensePlan, e
 	p := &DensePlan{Rate: rate, Removed: make([][]int, len(hidden)), Widths: make([]int, len(hidden))}
 	var total, removed int
 	for i, d := range hidden {
-		g := granularity[i]
-		if g <= 0 {
-			return nil, fmt.Errorf("prune: dense %d granularity %d must be positive", i, g)
+		if d.Weight == nil {
+			return nil, fmt.Errorf("prune: dense %q is a shape-only skeleton; plan on the weighted model", d.ID)
 		}
 		out := d.Out
-		r := int(rate * float64(out))
-		for r > 0 && ((out-r)%g != 0 || out-r <= 0) {
-			r--
+		r, err := constrainedRemoval(out, rate, granularity[i])
+		if err != nil {
+			return nil, fmt.Errorf("prune: dense %d: %w", i, err)
 		}
 		p.Widths[i] = out - r
 		total += out
 		removed += r
-		if r == 0 {
-			continue
+		if r > 0 {
+			p.Removed[i] = smallest(ascendingOrder(d.NeuronL1Norms()), r)
 		}
-		norms := d.NeuronL1Norms()
-		idx := make([]int, out)
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			if norms[idx[a]] != norms[idx[b]] {
-				return norms[idx[a]] < norms[idx[b]]
-			}
-			return idx[a] < idx[b]
-		})
-		rm := append([]int(nil), idx[:r]...)
-		sort.Ints(rm)
-		p.Removed[i] = rm
 	}
 	if total > 0 {
 		p.EffectiveRate = float64(removed) / float64(total)

@@ -35,58 +35,105 @@ type Plan struct {
 	EffectiveRate float64
 }
 
-// PlanFilters computes a pruning plan for the model at the given nominal
-// rate. granularity has one entry per convolution; pass 1s to disable the
-// dataflow constraints (free pruning).
-func PlanFilters(m *model.Model, rate float64, granularity []int) (*Plan, error) {
+// Ranking is every convolution's filter order by ascending ℓ1 norm, ties
+// broken by index: the order in which pruning removes filters (Li et al.).
+// Ranking once and planning many rates from it is how a rate sweep avoids
+// re-reading the weights per rate.
+type Ranking struct {
+	order [][]int // per convolution, filter indices least important first
+}
+
+// Rank computes the model's filter ranking. It reads the weights, so it
+// fails on a shape-only skeleton (model.Model.Skeleton).
+func Rank(m *model.Model) (*Ranking, error) {
+	convs := m.Net.Convs()
+	r := &Ranking{order: make([][]int, len(convs))}
+	for i, c := range convs {
+		if c.Weight == nil {
+			return nil, fmt.Errorf("prune: conv %q is a shape-only skeleton; rank the weighted model", c.ID)
+		}
+		r.order[i] = ascendingOrder(c.FilterL1Norms())
+	}
+	return r, nil
+}
+
+// Plan computes the pruning plan at the given nominal rate. granularity
+// has one entry per convolution; pass 1s to disable the dataflow
+// constraints (free pruning).
+func (rk *Ranking) Plan(rate float64, granularity []int) (*Plan, error) {
 	if rate < 0 || rate >= 1 {
 		return nil, fmt.Errorf("prune: rate %v out of [0,1)", rate)
 	}
-	convs := m.Net.Convs()
-	if len(granularity) != len(convs) {
-		return nil, fmt.Errorf("prune: %d granularity entries for %d convolutions", len(granularity), len(convs))
+	if len(granularity) != len(rk.order) {
+		return nil, fmt.Errorf("prune: %d granularity entries for %d convolutions", len(granularity), len(rk.order))
 	}
-	p := &Plan{Rate: rate, Removed: make([][]int, len(convs)), Channels: make([]int, len(convs))}
+	p := &Plan{Rate: rate, Removed: make([][]int, len(rk.order)), Channels: make([]int, len(rk.order))}
 	var total, removed int
-	for i, c := range convs {
-		g := granularity[i]
-		if g <= 0 {
-			return nil, fmt.Errorf("prune: conv %d granularity %d must be positive", i, g)
-		}
-		ch := c.OutC
-		r := int(rate * float64(ch))
-		// Iteratively decrease r until the dataflow constraints hold and
-		// at least one filter survives (paper §IV-A1).
-		for r > 0 && ((ch-r)%g != 0 || ch-r <= 0) {
-			r--
+	for i, order := range rk.order {
+		ch := len(order)
+		r, err := constrainedRemoval(ch, rate, granularity[i])
+		if err != nil {
+			return nil, fmt.Errorf("prune: conv %d: %w", i, err)
 		}
 		p.Channels[i] = ch - r
 		total += ch
 		removed += r
-		if r == 0 {
-			p.Removed[i] = nil
-			continue
-		}
-		// ℓ1-norm filter ranking: remove the r smallest.
-		norms := c.FilterL1Norms()
-		idx := make([]int, ch)
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			if norms[idx[a]] != norms[idx[b]] {
-				return norms[idx[a]] < norms[idx[b]]
-			}
-			return idx[a] < idx[b]
-		})
-		rm := append([]int(nil), idx[:r]...)
-		sort.Ints(rm)
-		p.Removed[i] = rm
+		p.Removed[i] = smallest(order, r)
 	}
 	if total > 0 {
 		p.EffectiveRate = float64(removed) / float64(total)
 	}
 	return p, nil
+}
+
+// PlanFilters computes a pruning plan for the model at the given nominal
+// rate (see Ranking.Plan).
+func PlanFilters(m *model.Model, rate float64, granularity []int) (*Plan, error) {
+	rk, err := Rank(m)
+	if err != nil {
+		return nil, err
+	}
+	return rk.Plan(rate, granularity)
+}
+
+// constrainedRemoval returns how many of n channels a prune at rate
+// removes: rate·n, decreased until the n−r survivors are a positive
+// multiple of the granularity g (paper §IV-A1).
+func constrainedRemoval(n int, rate float64, g int) (int, error) {
+	if g <= 0 {
+		return 0, fmt.Errorf("granularity %d must be positive", g)
+	}
+	r := int(rate * float64(n))
+	for r > 0 && ((n-r)%g != 0 || n-r <= 0) {
+		r--
+	}
+	return r, nil
+}
+
+// ascendingOrder returns the indices of norms from smallest to largest,
+// ties broken by index.
+func ascendingOrder(norms []float64) []int {
+	idx := make([]int, len(norms))
+	for j := range idx {
+		idx[j] = j
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if norms[idx[a]] != norms[idx[b]] {
+			return norms[idx[a]] < norms[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
+}
+
+// smallest returns the first r indices of order, ascending; nil for r 0.
+func smallest(order []int, r int) []int {
+	if r == 0 {
+		return nil
+	}
+	rm := append([]int(nil), order[:r]...)
+	sort.Ints(rm)
+	return rm
 }
 
 // Apply executes a plan on the model in place: it prunes each convolution's

@@ -17,7 +17,7 @@ BENCH_OUT=${BENCH_OUT:-BENCH_PR10.json}
 BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkLibraryGenerate|BenchmarkExploreTargetFPS|BenchmarkGemm$|BenchmarkGemmInt8$|BenchmarkConvForward|BenchmarkDESKernel|BenchmarkRunEdge$|BenchmarkPoolRun|BenchmarkClusterRun'}
 BENCH_TIME=${BENCH_TIME:-1s}
 BENCH_COUNT=${BENCH_COUNT:-1}
-BENCH_NOTE=${BENCH_NOTE:-'measured in a 1-core container: worker-pool speedups do not show, and ns/op is noisy across runs; the tracked regression gate compares ns/op with generous tolerance and the alloc counts are the stable signal'}
+BENCH_NOTE=${BENCH_NOTE:-'measured on a 2-core shared VM: other tenants steal CPU, so ns/op moves by tens of percent between runs and worker-pool speedups stay small; benchjson -check gates ns/op loosely (-tol) and allocs/op, B/op within 5%, the stable signal'}
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
