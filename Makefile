@@ -26,9 +26,12 @@ test-race:
 		./internal/library/... ./internal/explore/... ./internal/parallel/... \
 		./internal/sim/... ./internal/experiments/... ./internal/obs/...
 
-# Golden trace suite: the Fig. 6 scenario traces plus the pinned
-# decision-event streams (manager verdicts) for Scenarios 1, 2 and 1+2,
-# and the pool supervision streams (failover, overload shed).
+# Golden trace suite: the fluid Fig. 6 scenario traces, the event-level
+# goldens (TestGoldenEventLevel: chaos at batch 1, deadline batch 8,
+# adaptive drift, Poisson arrivals), the pinned decision-event streams
+# (manager verdicts) for Scenarios 1, 2 and 1+2, the pool supervision
+# streams (failover, overload shed), and the per-frame pool blackout
+# (TestGoldenPoolEventLevel).
 # Regenerate after an intentional semantic change with:
 #   go test ./internal/edge/ ./internal/multiedge/ ./internal/cluster/ -run Golden -update
 trace-golden:

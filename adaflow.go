@@ -232,7 +232,7 @@ func RunEdge(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*R
 // RunEdgeEventLevel simulates one scenario run at per-frame granularity
 // on the discrete-event kernel: frames arrive, queue, and are served (or
 // shed) individually, so queue depth, deadline shedding, and micro-batched
-// dispatch (SimConfig.Batch) are exact rather than fluid-averaged.
+// dispatch (SimConfig.BatchConfig.Size) are exact rather than fluid-averaged.
 func RunEdgeEventLevel(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
 	return edge.RunEventLevel(scn, ctl, cfg, opts...)
 }

@@ -647,9 +647,10 @@ func BenchmarkEdgeScenarioRun(b *testing.B) {
 // instrumentation added to the serving loop must stay free when no tracer
 // is attached. The batch=N variants run the event-level simulator (every
 // frame is an event) under a deadline; batch=1 is per-frame dispatch and
-// batch=8 amortizes the per-dispatch fixed costs — service completions,
-// their engine events, and the controller bookkeeping — over eight
-// frames, which is the allocs/op win the baseline tracks. The adapt
+// batch=8 serves up to eight frames per service event. Event handlers are
+// bound once per run and the frame queue reuses its array, so neither
+// variant allocates per frame: both stay near the fluid run's allocs/op,
+// and the baseline gate keeps them there. The adapt
 // variant runs the closed drift-recovery loop (detect → retrain → swap)
 // under a sustained shift; the fluid variant doubles as the guard that
 // the adaptation plumbing stays free when Adapt is disabled.
@@ -679,7 +680,7 @@ func BenchmarkRunEdge(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := RunEdgeEventLevel(Scenario2(), newCtl(b), SimConfig{
-					Seed: int64(i), Deadline: 0.1, Batch: batch,
+					Seed: int64(i), AdmissionConfig: edge.AdmissionConfig{Deadline: 0.1}, BatchConfig: edge.BatchConfig{Size: batch},
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -694,7 +695,7 @@ func BenchmarkRunEdge(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := RunEdge(Scenario2(), newCtl(b), SimConfig{
-				Seed: int64(i), FaultPlan: plan, FaultSeed: 1,
+				Seed: int64(i), FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1},
 				Adapt: AdaptConfig{Enabled: true},
 			}); err != nil {
 				b.Fatal(err)
@@ -724,7 +725,7 @@ func BenchmarkPoolRun(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := RunEdge(Scenario12(), pool, SimConfig{
-				Seed: int64(i), FaultPlan: plan, FaultSeed: 1,
+				Seed: int64(i), FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1},
 			}); err != nil {
 				b.Fatal(err)
 			}

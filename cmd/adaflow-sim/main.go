@@ -304,17 +304,20 @@ func main() {
 		return
 	}
 
+	simCfg := edge.SimConfig{
+		AdmissionConfig: edge.AdmissionConfig{QueueFrames: *queueDepth, Deadline: *deadline},
+		BatchConfig:     edge.BatchConfig{Size: *batch, FlushSlack: *batchSlack},
+		FaultConfig:     edge.FaultConfig{Plan: plan, Seed: *faultSeed},
+		Adapt:           adaptCfg,
+	}
 	if *csv || *runs == 1 {
 		ctl, err := mk()
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := edge.Run(scn, ctl, edge.SimConfig{
-			Seed: *seed, RecordTrace: *csv, FaultPlan: plan, FaultSeed: *faultSeed,
-			QueueFrames: *queueDepth, Deadline: *deadline,
-			Batch: *batch, BatchFlushSlack: *batchSlack,
-			Adapt: adaptCfg,
-		}, opts...)
+		one := simCfg
+		one.Seed, one.RecordTrace = *seed, *csv
+		res, err := edge.Run(scn, ctl, one, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -342,12 +345,7 @@ func main() {
 		return
 	}
 
-	mean, runsOut, err := edge.RunRepeated(scn, mk, *runs, *seed, edge.SimConfig{
-		FaultPlan: plan, FaultSeed: *faultSeed,
-		QueueFrames: *queueDepth, Deadline: *deadline,
-		Batch: *batch, BatchFlushSlack: *batchSlack,
-		Adapt: adaptCfg,
-	}, opts...)
+	mean, runsOut, err := edge.RunRepeated(scn, mk, *runs, *seed, simCfg, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}

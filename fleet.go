@@ -8,8 +8,10 @@ package adaflow
 //		Boards: 4, Standby: 1, Manager: adaflow.DefaultManagerConfig(),
 //	})
 //	plan, _ := adaflow.ParseFaultPlan("board-crash:p=1,board=0,start=5,end=5.05,repair=30")
-//	res, _ := adaflow.RunEdge(adaflow.Scenario12(), pool,
-//		adaflow.SimConfig{Seed: 1, FaultPlan: plan, FaultSeed: 1, Deadline: 0.05})
+//	cfg := adaflow.SimConfig{Seed: 1}
+//	cfg.FaultConfig.Plan, cfg.FaultConfig.Seed = plan, 1
+//	cfg.AdmissionConfig.Deadline = 0.05
+//	res, _ := adaflow.RunEdge(adaflow.Scenario12(), pool, cfg)
 //	fmt.Println(res.Pool.Failovers, res.Drops.Total())
 
 import (
@@ -43,10 +45,9 @@ type (
 	// loop on:
 	//
 	//	plan, _ := adaflow.ParseFaultPlan("drift-sustained:p=1,start=5,mag=-0.15")
-	//	res, _ := adaflow.RunEdge(adaflow.Scenario2(), ctl, adaflow.SimConfig{
-	//		Seed: 1, FaultPlan: plan, FaultSeed: 1,
-	//		Adapt: adaflow.AdaptConfig{Enabled: true},
-	//	})
+	//	cfg := adaflow.SimConfig{Seed: 1, Adapt: adaflow.AdaptConfig{Enabled: true}}
+	//	cfg.FaultConfig.Plan, cfg.FaultConfig.Seed = plan, 1
+	//	res, _ := adaflow.RunEdge(adaflow.Scenario2(), ctl, cfg)
 	//	fmt.Println(res.Adapt.Swaps, res.Adapt.RecoveredPoints)
 	AdaptConfig = adapt.Config
 	// AdaptStats counts the adaptation loop's actions for a run

@@ -72,7 +72,7 @@ type Config struct {
 	QueueFrames float64
 	Deadline    float64
 	// Batch and BatchFlushSlack enable micro-batched service on every
-	// pool (see edge.SimConfig.Batch): they configure the pools'
+	// pool (see edge.BatchConfig.Size and FlushSlack): they configure the pools'
 	// per-board dispatch queues, whose counters each epoch's edge.Run
 	// drains into its result. Batch <= 1 keeps the historical
 	// single-frame serving bit-identical.
@@ -535,15 +535,13 @@ func (s *Scheduler) dispatch(e int, plan *epochPlan) ([]*edge.Result, error) {
 		}
 		// Batching is configured on the pools themselves (per-board dispatch
 		// queues), not on the epoch runs: the pool owns batch accounting and
-		// edge.Run drains it, so setting SimConfig.Batch here would count
+		// edge.Run drains it, so setting SimConfig.BatchConfig here would count
 		// every frame twice.
 		res, err := edge.Run(scn, s.pools[i], edge.SimConfig{
-			Step:        s.cfg.Step,
-			QueueFrames: s.cfg.QueueFrames,
-			Deadline:    deadline,
-			Seed:        s.cfg.Seed,
-			FaultPlan:   s.faultPlanFor(i, e),
-			FaultSeed:   s.faultSeedFor(i, e),
+			Step:            s.cfg.Step,
+			AdmissionConfig: edge.AdmissionConfig{QueueFrames: s.cfg.QueueFrames, Deadline: deadline},
+			Seed:            s.cfg.Seed,
+			FaultConfig:     edge.FaultConfig{Plan: s.faultPlanFor(i, e), Seed: s.faultSeedFor(i, e)},
 		})
 		if err != nil {
 			return err

@@ -63,13 +63,13 @@ func TestAdaptChaosAcceptance(t *testing.T) {
 				t.Fatal(err)
 			}
 			drifted, err := mode.run(adaflow(t, lib), SimConfig{Seed: 1,
-				FaultPlan: sustainedPlan(t), FaultSeed: 1})
+				FaultConfig: FaultConfig{Plan: sustainedPlan(t), Seed: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			adaptive, err := mode.run(adaflow(t, lib), SimConfig{Seed: 1,
-				FaultPlan: sustainedPlan(t), FaultSeed: 1,
-				Adapt: adapt.Config{Enabled: true}})
+				FaultConfig: FaultConfig{Plan: sustainedPlan(t), Seed: 1},
+				Adapt:       adapt.Config{Enabled: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestAdaptChaosAcceptance(t *testing.T) {
 func TestAdaptReplayAcrossWorkers(t *testing.T) {
 	lib := paperLib(t)
 	mk := func() (Controller, error) { return adaflow(t, lib), nil }
-	cfg := SimConfig{FaultPlan: sustainedPlan(t), FaultSeed: 1,
+	cfg := SimConfig{FaultConfig: FaultConfig{Plan: sustainedPlan(t), Seed: 1},
 		Adapt: adapt.Config{Enabled: true}}
 	const n, seed = 6, 3
 
@@ -160,14 +160,14 @@ func TestDriftBoundaryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fluid, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultPlan: sub, FaultSeed: 1})
+	fluid, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: sub, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fluid.RunStats.Faults.AccuracyDrifts == 0 {
 		t.Error("fluid mode stepped over the sub-step window")
 	}
-	event, err := RunEventLevel(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultPlan: sub, FaultSeed: 1})
+	event, err := RunEventLevel(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: sub, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDriftBoundaryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultPlan: aligned, FaultSeed: 1})
+	res, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: aligned, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestAdaptAcrossManagerRollback(t *testing.T) {
 	}
 	run := func() *Result {
 		res, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1,
-			FaultPlan: plan, FaultSeed: 1, Adapt: adapt.Config{Enabled: true}})
+			FaultConfig: FaultConfig{Plan: plan, Seed: 1}, Adapt: adapt.Config{Enabled: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,8 +238,8 @@ func TestGoldenAdaptTrace(t *testing.T) {
 		return ev.Cat == obs.AdaptCat
 	}))
 	_, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1,
-		FaultPlan: sustainedPlan(t), FaultSeed: 1,
-		Adapt: adapt.Config{Enabled: true}}, WithTracer(tr))
+		FaultConfig: FaultConfig{Plan: sustainedPlan(t), Seed: 1},
+		Adapt:       adapt.Config{Enabled: true}}, WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestAdmissionDropAttribution(t *testing.T) {
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			res, err := m.run(SimConfig{Seed: 1, QueueFrames: 16, Deadline: 0.005})
+			res, err := m.run(SimConfig{Seed: 1, AdmissionConfig: AdmissionConfig{QueueFrames: 16, Deadline: 0.005}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func TestAdmissionDropAttribution(t *testing.T) {
 // staleness, never invents frames.
 func TestAdmissionDeadlineOff(t *testing.T) {
 	lib := paperLib(t)
-	res, err := Run(overloadScn(), adaflow(t, lib), SimConfig{Seed: 1, QueueFrames: 16})
+	res, err := Run(overloadScn(), adaflow(t, lib), SimConfig{Seed: 1, AdmissionConfig: AdmissionConfig{QueueFrames: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,7 @@ func TestChaosBitIdenticalReplay(t *testing.T) {
 		res, err := Run(Scenario12(), adaflow(t, lib), SimConfig{
 			Seed:        3,
 			RecordTrace: true,
-			FaultPlan:   chaosPlan(t),
-			FaultSeed:   11,
+			FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -36,7 +35,7 @@ func TestChaosBitIdenticalReplay(t *testing.T) {
 	// A different fault seed must change the draws (otherwise the seed is
 	// dead and the matrix in make test-chaos is one run repeated).
 	c, err := Run(Scenario12(), adaflow(t, lib), SimConfig{
-		Seed: 3, RecordTrace: true, FaultPlan: chaosPlan(t), FaultSeed: 12,
+		Seed: 3, RecordTrace: true, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 12},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +77,7 @@ func TestChaosDegradeToFlexibleWithinBudget(t *testing.T) {
 	const relaxed = 0.10
 	res, err := Run(steadyOverload(), NewAdaFlow(mgr), SimConfig{
 		Seed:             1,
-		FaultPlan:        plan,
-		FaultSeed:        5,
+		FaultConfig:      FaultConfig{Plan: plan, Seed: 5},
 		ThresholdChanges: []ThresholdChange{{Time: 5, Threshold: relaxed}},
 	})
 	if err != nil {
@@ -127,7 +125,7 @@ func TestChaosInvariantsSeedMatrix(t *testing.T) {
 	plan := chaosPlan(t)
 	for _, seed := range []int64{1, 2, 5} {
 		for _, fseed := range []int64{1, 9} {
-			cfg := SimConfig{Seed: seed, FaultSeed: fseed, FaultPlan: plan, RecordTrace: true}
+			cfg := SimConfig{Seed: seed, FaultConfig: FaultConfig{Seed: fseed, Plan: plan}, RecordTrace: true}
 			res, err := Run(Scenario2(), adaflow(t, lib), cfg)
 			if err != nil {
 				t.Fatal(err)

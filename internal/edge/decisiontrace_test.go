@@ -127,10 +127,10 @@ func TestTracingBitIdentical(t *testing.T) {
 		run  func(ctl Controller, opts ...RunOption) (*Result, error)
 	}{
 		{"fluid", func(ctl Controller, opts ...RunOption) (*Result, error) {
-			return Run(Scenario12(), ctl, SimConfig{Seed: 3, FaultPlan: chaosPlan(t), FaultSeed: 7}, opts...)
+			return Run(Scenario12(), ctl, SimConfig{Seed: 3, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 7}}, opts...)
 		}},
 		{"event-level", func(ctl Controller, opts ...RunOption) (*Result, error) {
-			return RunEventLevel(Scenario12(), ctl, SimConfig{Seed: 3, FaultPlan: chaosPlan(t), FaultSeed: 7}, opts...)
+			return RunEventLevel(Scenario12(), ctl, SimConfig{Seed: 3, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 7}}, opts...)
 		}},
 	}
 	for _, mode := range modes {

@@ -450,55 +450,75 @@ func TestEventLevelValidation(t *testing.T) {
 
 // TestRuntimeThresholdChange: loosening the user accuracy threshold
 // mid-run unlocks faster pruned versions — frame loss collapses in the
-// second half of an overloaded run.
+// second half of an overloaded run — in both simulation modes, and both
+// modes reject schedules that cannot be applied.
 func TestRuntimeThresholdChange(t *testing.T) {
 	lib := paperLib(t)
 	scn := Scenario1()
 	scn.Devices = 40 // 1200 FPS mean: above the 10%-threshold versions
-	mgr, err := manager.New(lib, manager.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(scn, NewAdaFlow(mgr), SimConfig{
-		Seed:             3,
-		RecordTrace:      true,
-		ThresholdChanges: []ThresholdChange{{Time: 12.5, Threshold: 0.50}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first, second float64
-	var nf, ns int
-	for _, p := range res.Trace {
-		if p.Time < 12.5 {
-			first += p.InstLossPct
-			nf++
-		} else if p.Time > 13 {
-			second += p.InstLossPct
-			ns++
-		}
-	}
-	first /= float64(nf)
-	second /= float64(ns)
-	if second >= first/2 {
-		t.Fatalf("loosened threshold did not help: loss %.2f%% → %.2f%%", first, second)
-	}
-	if mgr.AccuracyThreshold() != 0.50 {
-		t.Fatal("threshold not applied")
-	}
-	if len(mgr.Log()) == 0 {
-		t.Fatal("decision log empty")
-	}
-	// Invalid schedules are rejected.
-	if _, err := Run(scn, NewAdaFlow(mgr), SimConfig{
-		ThresholdChanges: []ThresholdChange{{Time: 99, Threshold: 0.5}},
-	}); err == nil {
-		t.Fatal("out-of-run threshold change accepted")
-	}
-	if _, err := Run(scn, NewStaticFINN(lib), SimConfig{
-		ThresholdChanges: []ThresholdChange{{Time: 5, Threshold: 0.5}},
-	}); err == nil {
-		t.Fatal("threshold change on static controller accepted")
+	relax := []ThresholdChange{{Time: 12.5, Threshold: 0.50}}
+	for _, mode := range []struct {
+		name string
+		run  func(Scenario, Controller, SimConfig, ...RunOption) (*Result, error)
+	}{{"fluid", Run}, {"event-level", RunEventLevel}} {
+		t.Run(mode.name, func(t *testing.T) {
+			steady, err := mode.run(scn, adaflow(t, lib), SimConfig{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr, err := manager.New(lib, manager.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := mode.run(scn, NewAdaFlow(mgr), SimConfig{
+				Seed:             3,
+				RecordTrace:      true,
+				ThresholdChanges: relax,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mgr.AccuracyThreshold() != 0.50 {
+				t.Fatal("threshold not applied")
+			}
+			if len(mgr.Log()) == 0 {
+				t.Fatal("decision log empty")
+			}
+			// The first half is identical to the steady run, so halving the
+			// second half's loss cuts the total by at least a quarter.
+			if got, base := res.FrameLossPct, steady.FrameLossPct; got >= 0.75*base {
+				t.Fatalf("loosened threshold did not help: loss %.2f%% vs %.2f%% without", got, base)
+			}
+			if len(res.Trace) > 0 {
+				var first, second float64
+				var nf, ns int
+				for _, p := range res.Trace {
+					if p.Time < 12.5 {
+						first += p.InstLossPct
+						nf++
+					} else if p.Time > 13 {
+						second += p.InstLossPct
+						ns++
+					}
+				}
+				first /= float64(nf)
+				second /= float64(ns)
+				if second >= first/2 {
+					t.Fatalf("loosened threshold did not help: loss %.2f%% → %.2f%%", first, second)
+				}
+			}
+			// Invalid schedules are rejected.
+			if _, err := mode.run(scn, NewAdaFlow(mgr), SimConfig{
+				ThresholdChanges: []ThresholdChange{{Time: 99, Threshold: 0.5}},
+			}); err == nil {
+				t.Fatal("out-of-run threshold change accepted")
+			}
+			if _, err := mode.run(scn, NewStaticFINN(lib), SimConfig{
+				ThresholdChanges: []ThresholdChange{{Time: 5, Threshold: 0.5}},
+			}); err == nil {
+				t.Fatal("threshold change on static controller accepted")
+			}
+		})
 	}
 }
 

@@ -1,14 +1,8 @@
 package edge
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/adapt"
-	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // RunEventLevel simulates a scenario at per-frame granularity: one arrival
@@ -18,451 +12,189 @@ import (
 // checks that both modes agree on frame loss and QoE — and to measure
 // true per-frame latency rather than Little's-law estimates.
 func RunEventLevel(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
-	cfg.defaults()
-	if ctl == nil {
-		return nil, fmt.Errorf("edge: nil controller")
-	}
-	o := applyRunOptions(opts)
-	tr := o.tracer
-	traced := tr.Enabled()
-	var meter *moduleMeter
-	if traced {
-		meter = &moduleMeter{}
-	}
-	rng := o.rng(cfg.Seed, "workload/"+scn.Name)
-	wl, err := NewWorkload(scn, rng)
+	s, err := newSession(scn, ctl, cfg, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
+	s.arriveFn, s.rearmFn, s.serviceFn, s.stallWakeFn = s.onArrival, s.onRearm, s.onServiceDone, s.onStallWake
+	s.scheduleArrival(0)
+	return s.finish(scn.Duration), nil
+}
 
-	inj, err := fault.NewInjector(cfg.FaultConfig.Plan, cfg.FaultConfig.Seed)
-	if err != nil {
-		return nil, err
+// integrate accrues idle power up to now.
+func (s *session) integrate(now float64) {
+	if now > s.lastPowerT {
+		s.acc.EnergyJ += s.serving.IdlePower * (now - s.lastPowerT)
+		s.lastPowerT = now
 	}
-	if tr != nil {
-		eng.SetTracer(tr)
-		inj.SetTracer(tr)
-		if ta, ok := ctl.(TracerAware); ok {
-			ta.SetTracer(tr)
+}
+
+func (s *session) scheduleArrival(t float64) {
+	rate := s.wl.Rate()
+	if rate <= 0 {
+		// Re-check at the next workload boundary.
+		if nb := s.wl.NextBoundary(t); nb < s.scn.Duration {
+			s.schedule(nb+1e-9, s.rearmFn)
 		}
+		return
 	}
-	ra, reconfAware := ctl.(ReconfigAware)
+	gap := 1 / rate
+	if s.cfg.PoissonArrivals {
+		gap = s.arrivals.ExpFloat64() / rate
+	}
+	if next := t + gap; next < s.scn.Duration {
+		s.schedule(next, s.arriveFn)
+	}
+}
 
-	// Closed adaptation loop (see Run): the per-frame analog observes at
-	// completion instants instead of accounting steps. measureDrift is the
-	// shared completion-time kernel for both the single-frame and batched
-	// paths: perturb measured accuracy by the instant's fault deltas (with
-	// active compensation), feed the detector, schedule the background
-	// retrain on detection, and re-offer any validated candidate.
-	var al *adapt.Loop
-	var swapper LibrarySwapper
-	if cfg.Adapt.Enabled {
-		sw, ok := ctl.(LibrarySwapper)
-		if !ok {
-			return nil, fmt.Errorf("edge: Adapt requires a controller with a swappable library, got %T", ctl)
+func (s *session) onRearm() { s.scheduleArrival(s.eng.Now()) }
+
+func (s *session) onStallWake() {
+	s.meter.hit(modStallWake)
+	s.startService()
+}
+
+// onArrival admits one frame, or drops it with its cause when the queue is
+// full.
+func (s *session) onArrival() {
+	s.meter.hit(modArrival)
+	now := s.eng.Now()
+	s.integrate(now)
+	if float64(s.frames.len()) >= s.cfg.AdmissionConfig.QueueFrames {
+		s.acc.Add(1, 0, 1, 0, 0, 0)
+		cause := metrics.DropQueueFull
+		if s.serving.FPS <= 0 {
+			cause = metrics.DropNoHealthyBoard
+		} else if now < s.stallUntil {
+			cause = metrics.DropReconfigStall
 		}
-		swapper = sw
-		al, err = adapt.NewLoop(cfg.Adapt, sw.ServingLibrary(), tr)
-		if err != nil {
-			return nil, err
+		s.acc.Drops.Add(cause, 1)
+		if s.traced {
+			s.tr.Hot(now, obs.EdgeCat, "drop",
+				obs.F("frames", 1), obs.S("cause", cause.String()))
 		}
+	} else {
+		s.acc.Add(1, 0, 0, 0, 0, 0)
+		s.frames.push(now)
+		s.startService()
 	}
+	s.scheduleArrival(now)
+}
 
-	var acc metrics.Accumulator
-	res := &Result{}
-
-	serving, _, _, _ := ctl.React(0, wl.Rate())
-	if serving.PowerAt == nil {
-		return nil, fmt.Errorf("edge: controller returned no power model")
+// startService dispatches the next service when the server is idle, not
+// stalled, and has frames: one frame, or with BatchConfig.Size > 1 up to
+// Size frames. A batch is cut short when the oldest frame's deadline slack
+// would run out — batching never causes a miss that single-frame serving
+// would not, because a size-k batch finishes at now + k/FPS, which the
+// slack bound keeps inside the oldest frame's deadline (later frames have
+// later deadlines).
+func (s *session) startService() {
+	now := s.eng.Now()
+	if s.busy || s.frames.len() == 0 || now < s.stallUntil || s.serving.FPS <= 0 {
+		return
 	}
-	if al != nil && reconfAware {
-		// Commit the assumed-successful initial load (see edge.Run): a
-		// manager holding its rollback snapshot refuses library swaps, and
-		// adaptive runs need the swap path open even if no reconfiguration
-		// ever happens again.
-		ra.ReconfigSucceeded(0)
-	}
-	// Per-inference energy implied by the serving power model.
-	eInf := func(s Serving) float64 { return s.PowerAt(1) - s.IdlePower }
-
-	var (
-		queue      []float64 // arrival timestamps of queued frames
-		busy       bool
-		stallUntil float64
-		lastPowerT float64 // integration cursor for idle power
-		latencySum float64
-		latencyN   float64
-	)
-
-	// integrate idle power up to now.
-	integrate := func(now float64) {
-		if now > lastPowerT {
-			acc.EnergyJ += serving.IdlePower * (now - lastPowerT)
-			lastPowerT = now
-		}
-	}
-
-	// measureDrift perturbs the nominal accuracy of frames frames
-	// completing at done by the instant's evaluator drift and sustained
-	// shift (less any active compensation), and — when adapting — feeds
-	// the detector and drives the retrain/swap state machine.
-	measureDrift := func(done, nominal, frames float64) float64 {
-		measured := nominal
-		d := inj.Drift(done)
-		sd := inj.Sustained(done)
-		if al != nil {
-			sd = al.Compensate(sd)
-		}
-		if d+sd != 0 {
-			measured += d + sd
-			if measured < 0 {
-				measured = 0
-			} else if measured > 1 {
-				measured = 1
+	deadline := s.cfg.AdmissionConfig.Deadline
+	if deadline > 0 {
+		// Shed frames already past the deadline instead of serving them
+		// stale.
+		for s.frames.len() > 0 && now-s.frames.front() > deadline {
+			s.frames.pop(1)
+			s.acc.Add(0, 0, 1, 0, 0, 0)
+			s.acc.Drops.Add(metrics.DropDeadlineExceeded, 1)
+			if s.traced {
+				s.tr.Hot(now, obs.EdgeCat, "drop",
+					obs.F("frames", 1),
+					obs.S("cause", metrics.DropDeadlineExceeded.String()))
 			}
 		}
-		if al != nil {
-			al.Account(frames)
-			if al.Observe(done, measured, nominal) {
-				if err := eng.Schedule(done+al.RetrainTime(), func() {
-					al.FinishRetrain(eng.Now())
-				}); err != nil {
-					panic(err) // forward scheduling cannot fail
-				}
-			}
-			if p := al.PendingSwap(); p != nil && swapper.SwapLibrary(done, p) {
-				al.Committed(done)
-			}
+		if s.frames.len() == 0 {
+			return
 		}
-		return measured
 	}
-
-	var startService func()
-
-	// Micro-batched dispatch (batch size > 1): serve up to Size queued
-	// frames in one service event. The batch is cut short when the oldest
-	// frame's deadline slack would run out — batching never causes a miss
-	// that single-frame serving would not, because a size-k batch finishes
-	// at now + k/FPS, which the slack bound keeps inside the oldest
-	// frame's deadline (later frames have later deadlines). One completion
-	// closure and one timestamp buffer are reused across every batch of
-	// the run, so per-frame scheduling cost amortizes to ~1/Batch events.
-	var (
-		batchBuf   []float64 // arrival times of the in-flight batch
-		batchCause metrics.FlushCause
-		batchCur   Serving
-		batchDone  func()
-	)
-	serveBatch := func(now float64) {
-		k := cfg.BatchConfig.Size
-		cause := metrics.FlushBatchFull
-		if len(queue) < k {
-			k = len(queue)
-			cause = metrics.FlushIdle
+	k := 1
+	if size := s.cfg.BatchConfig.Size; size > 1 {
+		k, s.cause = size, metrics.FlushBatchFull
+		if n := s.frames.len(); n < k {
+			k, s.cause = n, metrics.FlushIdle
 		}
-		if cfg.AdmissionConfig.Deadline > 0 {
-			slack := cfg.BatchConfig.FlushSlack
+		if deadline > 0 {
+			slack := s.cfg.BatchConfig.FlushSlack
 			if slack <= 0 {
-				slack = 1 / serving.FPS
+				slack = 1 / s.serving.FPS
 			}
-			if kMax := int((queue[0] + cfg.AdmissionConfig.Deadline - slack - now) * serving.FPS); kMax < k {
-				k = kMax
-				cause = metrics.FlushDeadlineSlack
+			if kMax := int((s.frames.front() + deadline - slack - now) * s.serving.FPS); kMax < k {
+				k, s.cause = kMax, metrics.FlushDeadlineSlack
 			}
 		}
 		if k < 1 {
 			// A single frame is exactly what unbatched serving would
 			// dispatch here; it misses only if that would too.
-			k = 1
-			cause = metrics.FlushDeadlineSlack
-		}
-		busy = true
-		batchBuf = append(batchBuf[:0], queue[:k]...)
-		queue = queue[k:]
-		batchCause = cause
-		batchCur = serving
-		if batchDone == nil {
-			batchDone = func() {
-				meter.hit(modService)
-				busy = false
-				done := eng.Now()
-				integrate(done)
-				measured := measureDrift(done, batchCur.Accuracy, float64(len(batchBuf)))
-				e := eInf(batchCur)
-				for _, at := range batchBuf {
-					acc.Add(0, 1, 0, measured, e, 0)
-					latencySum += done - at
-					latencyN++
-				}
-				acc.Batch.Add(float64(len(batchBuf)), batchCause)
-				if traced {
-					tr.Hot(done, obs.EdgeCat, "batch",
-						obs.I("size", len(batchBuf)),
-						obs.S("cause", batchCause.String()),
-						obs.F("oldest_latency_ms", (done-batchBuf[0])*1e3),
-						obs.I("queue", len(queue)))
-				}
-				startService()
-			}
-		}
-		if err := eng.After(float64(k)/batchCur.FPS, batchDone); err != nil {
-			panic(err) // forward scheduling cannot fail
+			k, s.cause = 1, metrics.FlushDeadlineSlack
 		}
 	}
+	s.busy = true
+	s.inService = append(s.inService[:0], s.frames.pop(k)...)
+	s.cur = s.serving
+	s.schedule(now+float64(k)/s.cur.FPS, s.serviceFn)
+}
 
-	startService = func() {
-		now := eng.Now()
-		if busy || len(queue) == 0 || now < stallUntil || serving.FPS <= 0 {
-			return
-		}
-		if cfg.AdmissionConfig.Deadline > 0 {
-			// Shed frames already past the deadline instead of serving
-			// them stale.
-			for len(queue) > 0 && now-queue[0] > cfg.AdmissionConfig.Deadline {
-				queue = queue[1:]
-				acc.Add(0, 0, 1, 0, 0, 0)
-				acc.Drops.Add(metrics.DropDeadlineExceeded, 1)
-				if traced {
-					tr.Hot(now, obs.EdgeCat, "drop",
-						obs.F("frames", 1),
-						obs.S("cause", metrics.DropDeadlineExceeded.String()))
-				}
-			}
-			if len(queue) == 0 {
-				return
-			}
-		}
-		if cfg.BatchConfig.Size > 1 {
-			serveBatch(now)
-			return
-		}
-		busy = true
-		arrivedAt := queue[0]
-		queue = queue[1:]
-		svc := 1 / serving.FPS
-		cur := serving
-		if err := eng.After(svc, func() {
-			meter.hit(modService)
-			busy = false
-			done := eng.Now()
-			integrate(done)
-			// Evaluator drift and sustained shift perturb the measured
-			// accuracy of this inference, not the true serving accuracy.
-			measured := measureDrift(done, cur.Accuracy, 1)
-			acc.Add(0, 1, 0, measured, eInf(cur), 0)
-			latencySum += done - arrivedAt
-			latencyN++
-			if traced {
-				tr.Hot(done, obs.EdgeCat, "frame",
-					obs.F("latency_ms", (done-arrivedAt)*1e3),
-					obs.I("queue", len(queue)))
-			}
-			startService()
-		}); err != nil {
-			panic(err) // forward scheduling cannot fail
-		}
+// onServiceDone completes the in-flight service: the measured accuracy,
+// energy and latency of every frame in it, then the next dispatch.
+func (s *session) onServiceDone() {
+	s.meter.hit(modService)
+	s.busy = false
+	done := s.eng.Now()
+	s.integrate(done)
+	n := float64(len(s.inService))
+	measured := s.measure(done, s.cur.Accuracy, s.inj.Drift(done), s.inj.Sustained(done), n)
+	e := s.cur.PowerAt(1) - s.cur.IdlePower // per-inference energy
+	for _, at := range s.inService {
+		s.acc.Add(0, 1, 0, measured, e, 0)
+		s.latencySum += done - at
+		s.latencyN++
 	}
+	if s.cfg.BatchConfig.Size > 1 {
+		s.acc.Batch.Add(n, s.cause)
+		if s.traced {
+			s.tr.Hot(done, obs.EdgeCat, "batch",
+				obs.I("size", len(s.inService)),
+				obs.S("cause", s.cause.String()),
+				obs.F("oldest_latency_ms", (done-s.inService[0])*1e3),
+				obs.I("queue", s.frames.len()))
+		}
+	} else if s.traced {
+		s.tr.Hot(done, obs.EdgeCat, "frame",
+			obs.F("latency_ms", (done-s.inService[0])*1e3),
+			obs.I("queue", s.frames.len()))
+	}
+	s.startService()
+}
 
-	extendStall := func(now float64, stall time.Duration) {
-		if stall > 0 {
-			if until := now + stall.Seconds(); until > stallUntil {
-				stallUntil = until
-				if err := eng.Schedule(stallUntil, func() {
-					meter.hit(modStallWake)
-					startService()
-				}); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
+// frameQueue is a FIFO of frame arrival times over one reused backing
+// array: pops advance a head index, and pushes reclaim the consumed prefix
+// once the array is full, so a bounded queue stops allocating after
+// warm-up.
+type frameQueue struct {
+	buf  []float64
+	head int
+}
 
-	var retryH sim.Handle
-	var haveRetry bool
-	var react func(now float64)
-	react = func(now float64) {
-		integrate(now)
-		if haveRetry {
-			eng.Cancel(retryH)
-			haveRetry = false
-		}
-		rate, ok := inj.Observe(now, wl.Rate())
-		if !ok {
-			return // sensor dropout: pin the last-known-good configuration
-		}
-		s, stall, switched, reconf := ctl.React(now, rate)
-		if reconf && reconfAware {
-			out := inj.Reconfig(now)
-			if out.Failed {
-				retry, degraded := ra.ReconfigFailed(now)
-				extendStall(now, stall)
-				res.FaultEvents = append(res.FaultEvents, FaultEvent{Time: now, Kind: "reconfig-fail", Detail: s.Label})
-				if degraded {
-					acc.Faults.Degradations++
-					res.FaultEvents = append(res.FaultEvents, FaultEvent{Time: now, Kind: "degraded", Detail: "retry budget exhausted; fixed banned"})
-				}
-				if at := now + stall.Seconds() + retry.Seconds(); at < scn.Duration {
-					if h, err := eng.ScheduleCancelable(at, func() {
-						meter.hit(modRetry)
-						react(eng.Now())
-					}); err == nil {
-						retryH, haveRetry = h, true
-					}
-				}
-				return
-			}
-			if out.StallFactor > 1 {
-				stall = time.Duration(float64(stall) * out.StallFactor)
-				res.FaultEvents = append(res.FaultEvents, FaultEvent{Time: now, Kind: "reconfig-stall", Detail: s.Label})
-			}
-			ra.ReconfigSucceeded(now)
-		}
-		if switched || reconf {
-			extendStall(now, stall)
-			if traced {
-				tr.Emit(now, obs.EdgeCat, "switch",
-					obs.S("label", s.Label),
-					obs.B("reconf", reconf),
-					obs.F("stall_s", stall.Seconds()))
-			}
-			res.Switches = append(res.Switches, SwitchEvent{Time: now, Label: s.Label, Reconfigured: reconf})
-			if switched {
-				acc.Switches++
-			}
-			if reconf {
-				acc.Reconfigs++
-			}
-		}
-		serving = s
-	}
+func (q *frameQueue) len() int { return len(q.buf) - q.head }
 
-	// Workload boundaries.
-	var scheduleRedraw func(t float64)
-	scheduleRedraw = func(t float64) {
-		next := wl.NextBoundary(t)
-		if next >= scn.Duration {
-			return
-		}
-		if err := eng.Schedule(next, func() {
-			meter.hit(modWorkload)
-			wl.Redraw(eng.Now())
-			react(eng.Now())
-			scheduleRedraw(eng.Now())
-		}); err != nil {
-			panic(err)
-		}
-	}
-	scheduleRedraw(0)
+func (q *frameQueue) front() float64 { return q.buf[q.head] }
 
-	// Board supervision heartbeats (see Run): deterministic seeded ticks.
-	// A topology change may both alter serving and unblock the queue, so
-	// the service loop is kicked after every changed beat.
-	if sup, ok := ctl.(BoardSupervisor); ok {
-		every := sup.HeartbeatInterval()
-		if every <= 0 {
-			every = 0.1
-		}
-		var scheduleBeat func(k int)
-		scheduleBeat = func(k int) {
-			next := float64(k) * every
-			if next >= scn.Duration {
-				return
-			}
-			if err := eng.Schedule(next, func() {
-				meter.hit(modHeartbeat)
-				if sup.Heartbeat(eng.Now(), inj) {
-					react(eng.Now())
-					startService()
-				}
-				scheduleBeat(k + 1)
-			}); err != nil {
-				panic(err)
-			}
-		}
-		scheduleBeat(1)
+func (q *frameQueue) push(t float64) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
 	}
+	q.buf = append(q.buf, t)
+}
 
-	// Frame arrivals: deterministic spacing at the current rate, or
-	// exponential gaps when PoissonArrivals is set.
-	arrivalRNG := o.rng(cfg.Seed, "arrivals/"+scn.Name)
-	var scheduleArrival func(t float64)
-	scheduleArrival = func(t float64) {
-		if wl.Rate() <= 0 {
-			// Re-check at the next workload boundary.
-			nb := wl.NextBoundary(t)
-			if nb < scn.Duration {
-				if err := eng.Schedule(nb+1e-9, func() { scheduleArrival(eng.Now()) }); err != nil {
-					panic(err)
-				}
-			}
-			return
-		}
-		gap := 1 / wl.Rate()
-		if cfg.PoissonArrivals {
-			gap = arrivalRNG.ExpFloat64() / wl.Rate()
-		}
-		next := t + gap
-		if next >= scn.Duration {
-			return
-		}
-		if err := eng.Schedule(next, func() {
-			meter.hit(modArrival)
-			now := eng.Now()
-			integrate(now)
-			if float64(len(queue)) >= cfg.AdmissionConfig.QueueFrames {
-				acc.Add(1, 0, 1, 0, 0, 0)
-				cause := metrics.DropQueueFull
-				if serving.FPS <= 0 {
-					cause = metrics.DropNoHealthyBoard
-				} else if now < stallUntil {
-					cause = metrics.DropReconfigStall
-				}
-				acc.Drops.Add(cause, 1)
-				if traced {
-					tr.Hot(now, obs.EdgeCat, "drop",
-						obs.F("frames", 1), obs.S("cause", cause.String()))
-				}
-			} else {
-				acc.Add(1, 0, 0, 0, 0, 0)
-				queue = append(queue, now)
-				startService()
-			}
-			scheduleArrival(now)
-		}); err != nil {
-			panic(err)
-		}
-	}
-	scheduleArrival(0)
-
-	eng.Run(scn.Duration)
-	integrate(scn.Duration)
-	acc.Seconds = scn.Duration
-
-	copyFaultCounts(&acc, inj)
-	if al != nil {
-		acc.Adapt = al.Stats()
-	}
-	if rep, ok := ctl.(PoolStatsReporter); ok {
-		acc.Pool = rep.PoolStats()
-	}
-	if rep, ok := ctl.(BatchStatsReporter); ok {
-		acc.Batch.Merge(rep.DrainBatchStats())
-	}
-	res.RunStats = acc.Finalize()
-	if latencyN > 0 {
-		res.RunStats.AvgLatencyMS = latencySum / latencyN * 1e3
-	}
-	if traced {
-		meter.emit(tr, scn.Duration)
-		tr.Emit(scn.Duration, obs.EdgeCat, "run",
-			obs.F("arrived", res.Arrived),
-			obs.F("processed", res.Processed),
-			obs.F("dropped", res.Dropped),
-			obs.F("qoe_pct", res.QoEPct),
-			obs.F("avg_latency_ms", res.RunStats.AvgLatencyMS),
-			obs.I("switches", res.RunStats.Switches),
-			obs.I("reconfigs", res.RunStats.Reconfigs))
-	}
-	return res, nil
+// pop removes the k oldest frames and returns them; the slice is valid
+// until the next push.
+func (q *frameQueue) pop(k int) []float64 {
+	out := q.buf[q.head : q.head+k]
+	q.head += k
+	return out
 }

@@ -93,8 +93,7 @@ func TestGoldenTraces(t *testing.T) {
 			res, err := Run(tc.scn, adaflow(t, lib), SimConfig{
 				Seed:        1,
 				RecordTrace: true,
-				FaultPlan:   tc.plan,
-				FaultSeed:   tc.fseed,
+				FaultConfig: FaultConfig{Plan: tc.plan, Seed: tc.fseed},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -92,12 +92,10 @@ func TestBatchingNeverCausesDeadlineMiss(t *testing.T) {
 			sink := &eventSink{}
 			cfg := SimConfig{
 				Seed:            seed,
-				Deadline:        deadline,
-				Batch:           batch,
-				BatchFlushSlack: slack,
+				AdmissionConfig: AdmissionConfig{Deadline: deadline},
+				BatchConfig:     BatchConfig{Size: batch, FlushSlack: slack},
 				PoissonArrivals: rng.Intn(2) == 0,
-				FaultPlan:       randPlan(t, rng),
-				FaultSeed:       seed + 100,
+				FaultConfig:     FaultConfig{Plan: randPlan(t, rng), Seed: seed + 100},
 			}
 			res, err := RunEventLevel(scn, adaflow(t, lib), cfg, WithTracer(obs.New(sink)))
 			if err != nil {
@@ -147,8 +145,8 @@ func TestBatchingNeverCausesDeadlineMiss(t *testing.T) {
 func TestBatchedRunBitIdenticalReplay(t *testing.T) {
 	lib := paperLib(t)
 	cfg := SimConfig{
-		Seed: 3, Deadline: 0.1, Batch: 8,
-		FaultPlan: chaosPlan(t), FaultSeed: 11,
+		Seed: 3, AdmissionConfig: AdmissionConfig{Deadline: 0.1}, BatchConfig: BatchConfig{Size: 8},
+		FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11},
 	}
 	run := func() *Result {
 		res, err := RunEventLevel(Scenario12(), adaflow(t, lib), cfg)
@@ -188,7 +186,7 @@ func TestBatchDisabledIsHistoricalPath(t *testing.T) {
 	lib := paperLib(t)
 	run := func(batch int) *Result {
 		res, err := RunEventLevel(Scenario2(), adaflow(t, lib), SimConfig{
-			Seed: 5, Deadline: 0.1, Batch: batch,
+			Seed: 5, AdmissionConfig: AdmissionConfig{Deadline: 0.1}, BatchConfig: BatchConfig{Size: batch},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +208,7 @@ func TestBatchDisabledIsHistoricalPath(t *testing.T) {
 func TestFluidBatchAccounting(t *testing.T) {
 	lib := paperLib(t)
 	res, err := Run(Scenario2(), adaflow(t, lib), SimConfig{
-		Seed: 7, Deadline: 0.1, Batch: 8,
+		Seed: 7, AdmissionConfig: AdmissionConfig{Deadline: 0.1}, BatchConfig: BatchConfig{Size: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ func TestRunRepeatedDeterministicAcrossParallelism(t *testing.T) {
 	lib := paperLib(t)
 	mk := func() (Controller, error) { return adaflow(t, lib), nil }
 	const n, seed = 8, 3
-	cfg := SimConfig{FaultPlan: chaosPlan(t), FaultSeed: 11}
+	cfg := SimConfig{FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11}}
 
 	prev := SetMaxParallelRuns(1)
 	serialMean, serialRuns, err := RunRepeated(Scenario12(), mk, n, seed, cfg)

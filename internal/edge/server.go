@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/sim"
 )
 
 // Serving is the server's active configuration: how fast it can process,
@@ -118,12 +117,8 @@ type FaultConfig struct {
 
 // SimConfig tunes the run mechanics. The admission, batching, and fault
 // knobs live in the embedded AdmissionConfig/BatchConfig/FaultConfig
-// groups; the flat QueueFrames/Deadline/Batch/BatchFlushSlack/FaultPlan/
-// FaultSeed fields are aliases kept for configs written before the
-// grouping existed (Go composite literals cannot set promoted fields, so
-// the aliases must stay addressable at the top level). normalize()
-// reconciles the two views once per run — a group field that is set wins
-// over its alias; untouched configs behave bit-identically.
+// groups; composite literals name the group (Go cannot set promoted fields
+// in a literal), e.g. SimConfig{BatchConfig: BatchConfig{Size: 8}}.
 type SimConfig struct {
 	AdmissionConfig
 	BatchConfig
@@ -131,22 +126,13 @@ type SimConfig struct {
 
 	// Adapt groups the closed-loop drift-recovery knobs (internal/adapt):
 	// detector window/threshold/hold-down, background-retrain latency,
-	// validation margin, probation, and quarantine backoff. It is a named
-	// group (no flat aliases — it postdates the alias era) and requires a
+	// validation margin, probation, and quarantine backoff. It requires a
 	// controller implementing LibrarySwapper when enabled. Disabled (the
 	// zero value) keeps runs bit-identical to pre-adaptation behaviour.
 	Adapt adapt.Config
 
 	// Step is the accounting step (default 10 ms).
 	Step float64
-	// QueueFrames aliases AdmissionConfig.QueueFrames.
-	QueueFrames float64
-	// Deadline aliases AdmissionConfig.Deadline.
-	Deadline float64
-	// Batch aliases BatchConfig.Size.
-	Batch int
-	// BatchFlushSlack aliases BatchConfig.FlushSlack.
-	BatchFlushSlack float64
 	// Seed drives the workload RNG.
 	Seed int64
 	// RecordTrace keeps per-step curves (off for bulk averaging).
@@ -158,10 +144,6 @@ type SimConfig struct {
 	// ThresholdChanges schedules user accuracy-threshold updates during
 	// the run (delivered to controllers implementing ThresholdSetter).
 	ThresholdChanges []ThresholdChange
-	// FaultPlan aliases FaultConfig.Plan.
-	FaultPlan *fault.Plan
-	// FaultSeed aliases FaultConfig.Seed.
-	FaultSeed int64
 }
 
 // ThresholdChange is one scheduled user update of the accuracy threshold.
@@ -240,39 +222,7 @@ type BatchStatsReporter interface {
 	DrainBatchStats() metrics.BatchStats
 }
 
-// normalize reconciles the grouped knobs with their flat aliases: each
-// alias fills its group field when the group field is unset, then the
-// group view is mirrored back so both views read the same value. Group
-// fields win when both are set.
-func (c *SimConfig) normalize() {
-	if c.AdmissionConfig.QueueFrames == 0 {
-		c.AdmissionConfig.QueueFrames = c.QueueFrames
-	}
-	if c.AdmissionConfig.Deadline == 0 {
-		c.AdmissionConfig.Deadline = c.Deadline
-	}
-	if c.BatchConfig.Size == 0 {
-		c.BatchConfig.Size = c.Batch
-	}
-	if c.BatchConfig.FlushSlack == 0 {
-		c.BatchConfig.FlushSlack = c.BatchFlushSlack
-	}
-	if c.FaultConfig.Plan == nil {
-		c.FaultConfig.Plan = c.FaultPlan
-	}
-	if c.FaultConfig.Seed == 0 {
-		c.FaultConfig.Seed = c.FaultSeed
-	}
-	c.QueueFrames = c.AdmissionConfig.QueueFrames
-	c.Deadline = c.AdmissionConfig.Deadline
-	c.Batch = c.BatchConfig.Size
-	c.BatchFlushSlack = c.BatchConfig.FlushSlack
-	c.FaultPlan = c.FaultConfig.Plan
-	c.FaultSeed = c.FaultConfig.Seed
-}
-
 func (c *SimConfig) defaults() {
-	c.normalize()
 	if c.Step == 0 {
 		c.Step = 0.01
 	}
@@ -281,409 +231,137 @@ func (c *SimConfig) defaults() {
 		// servers drop frames they cannot serve promptly, so bursts above
 		// capacity translate into loss rather than deep queueing.
 		c.AdmissionConfig.QueueFrames = 16
-		c.QueueFrames = 16
 	}
 }
 
-// Run simulates one scenario run with the given controller. Trailing
-// RunOptions attach cross-cutting behaviour (WithTracer, WithRNG); with no
-// options the behaviour is exactly the historical one.
+// Run simulates one scenario run with the given controller, accounting
+// fluid frame counts every cfg.Step. Trailing RunOptions attach
+// cross-cutting behaviour (WithTracer, WithRNG); with no options the
+// behaviour is exactly the historical one.
 func Run(scn Scenario, ctl Controller, cfg SimConfig, opts ...RunOption) (*Result, error) {
-	cfg.defaults()
-	if ctl == nil {
-		return nil, fmt.Errorf("edge: nil controller")
-	}
-	o := applyRunOptions(opts)
-	tr := o.tracer
-	traced := tr.Enabled()
-	var meter *moduleMeter
-	if traced {
-		meter = &moduleMeter{}
-	}
-	rng := o.rng(cfg.Seed, "workload/"+scn.Name)
-	wl, err := NewWorkload(scn, rng)
+	s, err := newSession(scn, ctl, cfg, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
-
-	inj, err := fault.NewInjector(cfg.FaultConfig.Plan, cfg.FaultConfig.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		eng.SetTracer(tr)
-		inj.SetTracer(tr)
-		if ta, ok := ctl.(TracerAware); ok {
-			ta.SetTracer(tr)
-		}
-	}
-	ra, reconfAware := ctl.(ReconfigAware)
-
-	// Closed adaptation loop: detector + retrain/swap state machine. All
-	// of its transitions happen inside the engine's serial event loop, so
-	// adaptive runs replay bit-identically at any worker count.
-	var al *adapt.Loop
-	var swapper LibrarySwapper
-	if cfg.Adapt.Enabled {
-		sw, ok := ctl.(LibrarySwapper)
-		if !ok {
-			return nil, fmt.Errorf("edge: Adapt requires a controller with a swappable library, got %T", ctl)
-		}
-		swapper = sw
-		al, err = adapt.NewLoop(cfg.Adapt, sw.ServingLibrary(), tr)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var acc metrics.Accumulator
-	res := &Result{}
-	var queue float64
-	var stallUntil float64
-	serving, _, _, _ := ctl.React(0, wl.Rate()) // initial load is free for every controller
-	if serving.PowerAt == nil {
-		return nil, fmt.Errorf("edge: controller returned no power model")
-	}
-	if al != nil && reconfAware {
-		// The initial load is assumed to succeed (it is free and cannot
-		// fail), but the managers still hold its rollback snapshot — and a
-		// manager refuses a library swap while a reconfiguration outcome is
-		// outstanding. Commit the initial load so a swap on a controller
-		// that never reconfigures again (a lightly-loaded pool) is not
-		// refused forever. Only done on adaptive runs to keep the disabled
-		// path's traces byte-identical.
-		ra.ReconfigSucceeded(0)
-	}
-
-	extendStall := func(now float64, stall time.Duration) {
-		if stall > 0 {
-			if until := now + stall.Seconds(); until > stallUntil {
-				stallUntil = until
-			}
-		}
-	}
-
-	var retryH sim.Handle
-	var haveRetry bool
-	var react func(now float64)
-	react = func(now float64) {
-		// A fresh reaction supersedes any pending reconfiguration retry.
-		if haveRetry {
-			eng.Cancel(retryH)
-			haveRetry = false
-		}
-		rate, ok := inj.Observe(now, wl.Rate())
-		if !ok {
-			return // sensor dropout: pin the last-known-good configuration
-		}
-		s, stall, switched, reconf := ctl.React(now, rate)
-		if reconf && reconfAware {
-			out := inj.Reconfig(now)
-			if out.Failed {
-				// The stall is paid but the bitstream never loads: the
-				// controller rolls back, the old configuration keeps
-				// serving, and we retry after a bounded backoff.
-				retry, degraded := ra.ReconfigFailed(now)
-				extendStall(now, stall)
-				res.FaultEvents = append(res.FaultEvents, FaultEvent{Time: now, Kind: "reconfig-fail", Detail: s.Label})
-				if degraded {
-					acc.Faults.Degradations++
-					res.FaultEvents = append(res.FaultEvents, FaultEvent{Time: now, Kind: "degraded", Detail: "retry budget exhausted; fixed banned"})
-				}
-				if at := now + stall.Seconds() + retry.Seconds(); at < scn.Duration {
-					if h, err := eng.ScheduleCancelable(at, func() {
-						meter.hit(modRetry)
-						react(eng.Now())
-					}); err == nil {
-						retryH, haveRetry = h, true
-					}
-				}
-				return
-			}
-			if out.StallFactor > 1 {
-				stall = time.Duration(float64(stall) * out.StallFactor)
-				res.FaultEvents = append(res.FaultEvents, FaultEvent{Time: now, Kind: "reconfig-stall", Detail: s.Label})
-			}
-			ra.ReconfigSucceeded(now)
-		}
-		if switched || reconf {
-			extendStall(now, stall)
-			res.Switches = append(res.Switches, SwitchEvent{Time: now, Label: s.Label, Reconfigured: reconf})
-			if switched {
-				acc.Switches++
-			}
-			if reconf {
-				acc.Reconfigs++
-			}
-			if traced {
-				tr.Emit(now, obs.EdgeCat, "switch",
-					obs.S("label", s.Label),
-					obs.B("reconf", reconf),
-					obs.F("stall_s", stall.Seconds()))
-			}
-		}
-		serving = s
-	}
-
-	// Scheduled user threshold changes (the paper: the manager acts on
-	// threshold changes too).
-	for _, tc := range cfg.ThresholdChanges {
-		tc := tc
-		if tc.Time <= 0 || tc.Time >= scn.Duration {
-			return nil, fmt.Errorf("edge: threshold change at %v outside run", tc.Time)
-		}
-		ts, ok := ctl.(ThresholdSetter)
-		if !ok {
-			return nil, fmt.Errorf("edge: controller %T cannot change thresholds", ctl)
-		}
-		if err := eng.Schedule(tc.Time, func() {
-			meter.hit(modThreshold)
-			if err := ts.SetAccuracyThreshold(tc.Threshold); err == nil {
-				react(eng.Now())
-			}
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Workload redraw events.
-	var scheduleRedraw func(t float64)
-	scheduleRedraw = func(t float64) {
-		next := wl.NextBoundary(t)
-		if next >= scn.Duration {
-			return
-		}
-		if err := eng.Schedule(next, func() {
-			meter.hit(modWorkload)
-			wl.Redraw(eng.Now())
-			react(eng.Now())
-			scheduleRedraw(eng.Now())
-		}); err != nil {
-			panic(err) // scheduling forward in time cannot fail
-		}
-	}
-	scheduleRedraw(0)
-
-	// Board supervision heartbeats: deterministic seeded ticks that let a
-	// supervising controller draw board faults and advance health state.
-	if sup, ok := ctl.(BoardSupervisor); ok {
-		every := sup.HeartbeatInterval()
-		if every <= 0 {
-			every = 0.1
-		}
-		var scheduleBeat func(k int)
-		scheduleBeat = func(k int) {
-			// Beats land on exact multiples of the interval (no float
-			// accumulation), so narrow fault windows behave predictably.
-			next := float64(k) * every
-			if next >= scn.Duration {
-				return
-			}
-			if err := eng.Schedule(next, func() {
-				meter.hit(modHeartbeat)
-				if sup.Heartbeat(eng.Now(), inj) {
-					react(eng.Now())
-				}
-				scheduleBeat(k + 1)
-			}); err != nil {
-				panic(err)
-			}
-		}
-		scheduleBeat(1)
-	}
-
-	// Accounting steps. The step body reads the current time from the
-	// engine and touches only outer state, so one hoisted closure serves
-	// every step instead of allocating duration/Step closures per run.
-	var batchCarry float64
 	// Controllers that dispatch through their own batch queues (multiedge
-	// pools) own the batch accounting; the drain below picks it up. The
+	// pools) own the batch accounting; the run summary drains it. The
 	// fluid carry models batching only for plain controllers — running
 	// both would count every frame twice.
-	_, ctlBatches := ctl.(BatchStatsReporter)
-	stepFn := func() {
-		meter.hit(modStep)
-		now := eng.Now()
-		dt := cfg.Step
-		arrived := wl.Rate() * dt
-
-		// Fraction of this step the server is stalled.
-		stalled := 0.0
-		if stallUntil > now-dt {
-			end := stallUntil
-			if end > now {
-				end = now
-			}
-			stalled = (end - (now - dt)) / dt
-			if stalled < 0 {
-				stalled = 0
-			}
-		}
-		avail := 1 - stalled
-		capacity := serving.FPS * dt * avail
-
-		// Admission control for this step lives in admitStep (shared
-		// policy kernel; admission_test.go pins its semantics).
-		out := admitStep(queue, arrived, capacity, cfg.AdmissionConfig.QueueFrames, cfg.AdmissionConfig.Deadline, serving.FPS, stalled > 0)
-		queue = out.Queue
-		processed := out.Processed
-		dropped := out.Dropped()
-		if out.Overflow > 0 {
-			acc.Drops.Add(out.OverflowCause, out.Overflow)
-			if traced {
-				tr.Emit(now, obs.EdgeCat, "drop",
-					obs.F("frames", out.Overflow), obs.S("cause", out.OverflowCause.String()))
-			}
-		}
-		if out.Shed > 0 {
-			acc.Drops.Add(out.ShedCause, out.Shed)
-			if traced {
-				tr.Emit(now, obs.EdgeCat, "drop",
-					obs.F("frames", out.Shed), obs.S("cause", out.ShedCause.String()))
-			}
-		}
-
-		procFPS := processed / dt
-		power := serving.PowerAt(procFPS)*avail + serving.IdlePower*stalled
-		// The accuracy evaluator may drift (transient noise) and the input
-		// distribution may shift (sustained drift): both perturb the
-		// measured accuracy of this step, the true serving accuracy is
-		// not changed. Rules are matched by span overlap with the step, so
-		// fluid and event-level runs agree on windows that touch (or fall
-		// between) step boundaries.
-		measured := serving.Accuracy
-		d := inj.DriftSpan(now-dt, now)
-		sd := inj.SustainedSpan(now-dt, now)
-		if al != nil {
-			sd = al.Compensate(sd)
-		}
-		if d+sd != 0 {
-			measured += d + sd
-			if measured < 0 {
-				measured = 0
-			} else if measured > 1 {
-				measured = 1
-			}
-		}
-		acc.Add(arrived, processed, dropped, measured, power*dt, dt)
-		acc.AddQueue(queue, dt)
-		if al != nil {
-			al.Account(processed)
-			if al.Observe(now, measured, serving.Accuracy) {
-				if err := eng.Schedule(now+al.RetrainTime(), func() {
-					al.FinishRetrain(eng.Now())
-				}); err != nil {
-					panic(err) // scheduling forward in time cannot fail
-				}
-			}
-			if p := al.PendingSwap(); p != nil && swapper.SwapLibrary(now, p) {
-				al.Committed(now)
-			}
-		}
-		if cfg.BatchConfig.Size > 1 && processed > 0 && !ctlBatches {
-			// Fluid analog of the event-level micro-batcher: processed
-			// frames accumulate into a carry; every full batch flushes
-			// batch-full, and a remainder flushes when the queue drains
-			// (idle) or under deadline pressure (deadline-slack). At
-			// Size <= 1 nothing here runs, so historical runs replay
-			// byte-identically.
-			b := float64(cfg.BatchConfig.Size)
-			batchCarry += processed
-			for batchCarry >= b {
-				batchCarry -= b
-				acc.Batch.Add(b, metrics.FlushBatchFull)
-			}
-			if batchCarry > 0 {
-				if queue == 0 {
-					acc.Batch.Add(batchCarry, metrics.FlushIdle)
-					batchCarry = 0
-				} else if cfg.AdmissionConfig.Deadline > 0 {
-					acc.Batch.Add(batchCarry, metrics.FlushDeadlineSlack)
-					batchCarry = 0
-				}
-			}
-			if traced {
-				tr.Hot(now, obs.EdgeCat, "batch",
-					obs.F("batches", acc.Batch.Batches),
-					obs.F("mean", acc.Batch.MeanBatch()))
-			}
-		}
-		if traced {
-			tr.Hot(now, obs.EdgeCat, "step",
-				obs.F("queue", queue),
-				obs.F("arrived", arrived),
-				obs.F("processed", processed),
-				obs.F("stalled", stalled))
-		}
-
-		if cfg.RecordTrace {
-			snap := acc.Finalize()
-			inst := 0.0
-			if arrived > 0 {
-				inst = 100 * dropped / arrived
-			}
-			res.Trace = append(res.Trace, TracePoint{
-				Time:         now,
-				IncomingFPS:  wl.Rate(),
-				ProcessedFPS: procFPS,
-				LossPct:      snap.FrameLossPct,
-				InstLossPct:  inst,
-				QoEPct:       snap.QoEPct,
-				Accuracy:     measured,
-				PowerW:       power,
-				ArrivedCum:   acc.Arrived,
-				ProcessedCum: acc.Processed,
-				DroppedCum:   acc.Dropped,
-			})
-		}
+	_, s.ctlBatches = ctl.(BatchStatsReporter)
+	step := s.onStep
+	for i := 1; i <= int(scn.Duration/s.cfg.Step+0.5); i++ {
+		s.schedule(float64(i)*s.cfg.Step, step)
 	}
-	steps := int(scn.Duration/cfg.Step + 0.5)
-	for i := 1; i <= steps; i++ {
-		if err := eng.Schedule(float64(i)*cfg.Step, stepFn); err != nil {
-			return nil, err
-		}
-	}
-
-	eng.Run(scn.Duration + 1)
-	copyFaultCounts(&acc, inj)
-	if al != nil {
-		acc.Adapt = al.Stats()
-	}
-	if rep, ok := ctl.(PoolStatsReporter); ok {
-		acc.Pool = rep.PoolStats()
-	}
-	if rep, ok := ctl.(BatchStatsReporter); ok {
-		acc.Batch.Merge(rep.DrainBatchStats())
-	}
-	res.RunStats = acc.Finalize()
-	if traced {
-		meter.emit(tr, scn.Duration)
-		tr.Emit(scn.Duration, obs.EdgeCat, "run",
-			obs.F("arrived", res.Arrived),
-			obs.F("processed", res.Processed),
-			obs.F("dropped", res.Dropped),
-			obs.F("qoe_pct", res.QoEPct),
-			obs.I("switches", res.RunStats.Switches),
-			obs.I("reconfigs", res.RunStats.Reconfigs))
-	}
-	return res, nil
+	return s.finish(scn.Duration + 1), nil
 }
 
-// copyFaultCounts moves the injector's per-kind fire counts into the
-// accumulator (Degradations is counted by the run loop itself).
-func copyFaultCounts(acc *metrics.Accumulator, inj *fault.Injector) {
-	c := inj.Counts()
-	acc.Faults.ReconfigFailures = c.ReconfigFailures
-	acc.Faults.ReconfigStalls = c.ReconfigStalls
-	acc.Faults.SensorDropouts = c.SensorDropouts
-	acc.Faults.SensorSpikes = c.SensorSpikes
-	acc.Faults.AccuracyDrifts = c.AccuracyDrifts
-	acc.Faults.SustainedDrifts = c.SustainedDrifts
-	acc.Faults.BoardCrashes = c.BoardCrashes
-	acc.Faults.BoardHangs = c.BoardHangs
-	acc.Faults.FrameCorruptions = c.FrameCorruptions
-	acc.Faults.BoardBrownouts = c.BoardBrownouts
+// onStep accounts one fluid step ending now.
+func (s *session) onStep() {
+	s.meter.hit(modStep)
+	now := s.eng.Now()
+	dt := s.cfg.Step
+	arrived := s.wl.Rate() * dt
+
+	// Fraction of this step the server is stalled.
+	stalled := 0.0
+	if s.stallUntil > now-dt {
+		end := s.stallUntil
+		if end > now {
+			end = now
+		}
+		stalled = (end - (now - dt)) / dt
+		if stalled < 0 {
+			stalled = 0
+		}
+	}
+	avail := 1 - stalled
+	capacity := s.serving.FPS * dt * avail
+
+	// Admission control for this step lives in admitStep (shared policy
+	// kernel; admission_test.go pins its semantics).
+	out := admitStep(s.backlog, arrived, capacity, s.cfg.AdmissionConfig.QueueFrames, s.cfg.AdmissionConfig.Deadline, s.serving.FPS, stalled > 0)
+	s.backlog = out.Queue
+	processed := out.Processed
+	dropped := out.Dropped()
+	if out.Overflow > 0 {
+		s.acc.Drops.Add(out.OverflowCause, out.Overflow)
+		if s.traced {
+			s.tr.Emit(now, obs.EdgeCat, "drop",
+				obs.F("frames", out.Overflow), obs.S("cause", out.OverflowCause.String()))
+		}
+	}
+	if out.Shed > 0 {
+		s.acc.Drops.Add(out.ShedCause, out.Shed)
+		if s.traced {
+			s.tr.Emit(now, obs.EdgeCat, "drop",
+				obs.F("frames", out.Shed), obs.S("cause", out.ShedCause.String()))
+		}
+	}
+
+	procFPS := processed / dt
+	power := s.serving.PowerAt(procFPS)*avail + s.serving.IdlePower*stalled
+	// Fault rules are matched by span overlap with the step, so fluid and
+	// event-level runs agree on windows that touch (or fall between) step
+	// boundaries.
+	measured := s.measure(now, s.serving.Accuracy,
+		s.inj.DriftSpan(now-dt, now), s.inj.SustainedSpan(now-dt, now), processed)
+	s.acc.Add(arrived, processed, dropped, measured, power*dt, dt)
+	s.acc.AddQueue(s.backlog, dt)
+	if s.cfg.BatchConfig.Size > 1 && processed > 0 && !s.ctlBatches {
+		// Fluid analog of the event-level micro-batcher: processed frames
+		// accumulate into a carry; every full batch flushes batch-full,
+		// and a remainder flushes when the queue drains (idle) or under
+		// deadline pressure (deadline-slack). At Size <= 1 nothing here
+		// runs, so historical runs replay byte-identically.
+		b := float64(s.cfg.BatchConfig.Size)
+		s.batchCarry += processed
+		for s.batchCarry >= b {
+			s.batchCarry -= b
+			s.acc.Batch.Add(b, metrics.FlushBatchFull)
+		}
+		if s.batchCarry > 0 {
+			if s.backlog == 0 {
+				s.acc.Batch.Add(s.batchCarry, metrics.FlushIdle)
+				s.batchCarry = 0
+			} else if s.cfg.AdmissionConfig.Deadline > 0 {
+				s.acc.Batch.Add(s.batchCarry, metrics.FlushDeadlineSlack)
+				s.batchCarry = 0
+			}
+		}
+		if s.traced {
+			s.tr.Hot(now, obs.EdgeCat, "batch",
+				obs.F("batches", s.acc.Batch.Batches),
+				obs.F("mean", s.acc.Batch.MeanBatch()))
+		}
+	}
+	if s.traced {
+		s.tr.Hot(now, obs.EdgeCat, "step",
+			obs.F("queue", s.backlog),
+			obs.F("arrived", arrived),
+			obs.F("processed", processed),
+			obs.F("stalled", stalled))
+	}
+
+	if s.cfg.RecordTrace {
+		snap := s.acc.Finalize()
+		inst := 0.0
+		if arrived > 0 {
+			inst = 100 * dropped / arrived
+		}
+		s.res.Trace = append(s.res.Trace, TracePoint{
+			Time:         now,
+			IncomingFPS:  s.wl.Rate(),
+			ProcessedFPS: procFPS,
+			LossPct:      snap.FrameLossPct,
+			InstLossPct:  inst,
+			QoEPct:       snap.QoEPct,
+			Accuracy:     measured,
+			PowerW:       power,
+			ArrivedCum:   s.acc.Arrived,
+			ProcessedCum: s.acc.Processed,
+			DroppedCum:   s.acc.Dropped,
+		})
+	}
 }
 
 // RunRepeated averages n runs with seeds seed, seed+1, … and returns the
@@ -708,14 +386,10 @@ func RunRepeated(scn Scenario, mk func() (Controller, error), n int, seed int64,
 		ctls[i] = ctl
 	}
 	runs := make([]metrics.RunStats, n)
-	// Normalize once up front so the per-run fault-seed override lands in
-	// both the grouped field and its alias (grouped wins inside Run).
-	cfg.normalize()
 	err := parallel.ForEachErr(n, MaxParallelRuns(), func(i int) error {
 		c := cfg
 		c.Seed = seed + int64(i)
 		c.FaultConfig.Seed = cfg.FaultConfig.Seed + int64(i)
-		c.FaultSeed = c.FaultConfig.Seed
 		c.RecordTrace = false
 		// Each run derives its own tracer child: events share the sink
 		// (which must be concurrency-safe) and carry a run=i attribute, so

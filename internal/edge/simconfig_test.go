@@ -3,76 +3,27 @@ package edge
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/fault"
 )
 
-// TestSimConfigGroupedFlatEquivalence: a config written with the grouped
-// AdmissionConfig/BatchConfig/FaultConfig fields must run bit-identically
-// to the same config written with the historical flat aliases.
-func TestSimConfigGroupedFlatEquivalence(t *testing.T) {
-	plan, err := fault.ParsePlan("reconfig-stall:p=0.5,start=5,end=15")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := SimConfig{
-		Seed:            1,
-		QueueFrames:     8,
-		Deadline:        0.05,
-		Batch:           4,
-		BatchFlushSlack: 0.01,
-		FaultPlan:       plan,
-		FaultSeed:       3,
-	}
-	grouped := SimConfig{
-		Seed:            1,
-		AdmissionConfig: AdmissionConfig{QueueFrames: 8, Deadline: 0.05},
-		BatchConfig:     BatchConfig{Size: 4, FlushSlack: 0.01},
-		FaultConfig:     FaultConfig{Plan: plan, Seed: 3},
-	}
-	scn := Scenario12()
+// TestRunRepeatedFaultSeedOffset: RunRepeated gives run i the workload
+// seed seed+i and the fault seed FaultConfig.Seed+i, so each repeat draws
+// its own chaos and replays as the equivalent single Run.
+func TestRunRepeatedFaultSeedOffset(t *testing.T) {
 	lib := paperLib(t)
-	for name, run := range map[string]func(SimConfig) (*Result, error){
-		"fluid": func(c SimConfig) (*Result, error) { return Run(scn, adaflow(t, lib), c) },
-		"event": func(c SimConfig) (*Result, error) { return RunEventLevel(scn, adaflow(t, lib), c) },
-	} {
-		rf, err := run(flat)
-		if err != nil {
-			t.Fatalf("%s flat: %v", name, err)
-		}
-		rg, err := run(grouped)
-		if err != nil {
-			t.Fatalf("%s grouped: %v", name, err)
-		}
-		if !reflect.DeepEqual(rf.RunStats, rg.RunStats) {
-			t.Errorf("%s: grouped config diverged from flat aliases:\nflat    %+v\ngrouped %+v", name, rf.RunStats, rg.RunStats)
-		}
-	}
-}
-
-func TestSimConfigNormalize(t *testing.T) {
-	plan, err := fault.ParsePlan("reconfig-stall:p=0.5,start=5,end=15")
+	mk := func() (Controller, error) { return adaflow(t, lib), nil }
+	cfg := SimConfig{FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11}}
+	_, runs, err := RunRepeated(Scenario12(), mk, 2, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flat aliases fill unset group fields...
-	c := SimConfig{QueueFrames: 8, Deadline: 0.05, Batch: 4, BatchFlushSlack: 0.01, FaultPlan: plan, FaultSeed: 3}
-	c.normalize()
-	if c.AdmissionConfig != (AdmissionConfig{QueueFrames: 8, Deadline: 0.05}) ||
-		c.BatchConfig != (BatchConfig{Size: 4, FlushSlack: 0.01}) ||
-		c.FaultConfig != (FaultConfig{Plan: plan, Seed: 3}) {
-		t.Fatalf("aliases not merged into groups: %+v", c)
+	one, err := Run(Scenario12(), adaflow(t, lib), SimConfig{
+		Seed:        4,
+		FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 12},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// ...and group fields win on conflict, with the aliases mirrored back.
-	c = SimConfig{QueueFrames: 8, AdmissionConfig: AdmissionConfig{QueueFrames: 32}}
-	c.normalize()
-	if c.AdmissionConfig.QueueFrames != 32 || c.QueueFrames != 32 {
-		t.Fatalf("group field did not win the conflict: %+v", c)
-	}
-	// RunRepeated must honour a grouped-only fault seed per run.
-	c = SimConfig{FaultConfig: FaultConfig{Seed: 7}}
-	c.normalize()
-	if c.FaultSeed != 7 {
-		t.Fatalf("grouped fault seed not mirrored to alias: %+v", c)
+	if !reflect.DeepEqual(runs[1], one.RunStats) {
+		t.Errorf("run 1 did not use seeds (4, 12):\nrepeated %+v\nsingle   %+v", runs[1], one.RunStats)
 	}
 }

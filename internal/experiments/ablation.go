@@ -240,7 +240,7 @@ func AblationQueue(sizes []float64, runs int, seed int64) (*AblationQueueResult,
 	}
 	res := &AblationQueueResult{Pair: p}
 	for _, q := range sizes {
-		cfg := edge.SimConfig{QueueFrames: q}
+		cfg := edge.SimConfig{AdmissionConfig: edge.AdmissionConfig{QueueFrames: q}}
 		fn, _, err := edge.RunRepeated(edge.Scenario2(), func() (edge.Controller, error) {
 			return edge.NewStaticFINN(lib), nil
 		}, runs, seed, cfg)

@@ -192,7 +192,7 @@ type PoolStats struct {
 // drop discipline of the admission taxonomy.
 type FlushCause int
 
-// Flush causes. BatchFull: the batch reached SimConfig.Batch frames.
+// Flush causes. BatchFull: the batch reached BatchConfig.Size frames.
 // DeadlineSlack: the batch was cut short so its oldest frame still meets
 // the serving deadline with the configured slack. Idle: the queue drained
 // below the batch size and the batcher served what it had rather than

@@ -93,12 +93,12 @@ type Config struct {
 	// configurations instead of shedding the stream (default 0.05).
 	DegradedRelax float64
 	// Batch, when > 1, models per-board micro-batched dispatch (see
-	// edge.SimConfig.Batch): each serving board admits its assigned share
+	// edge.BatchConfig.Size): each serving board admits its assigned share
 	// of the stream into an analytic batch queue advanced on every
 	// heartbeat, and the pool reports the aggregate occupancy through
 	// DrainBatchStats. Batch <= 1 computes and emits nothing.
 	Batch int
-	// BatchFlushSlack mirrors edge.SimConfig.BatchFlushSlack for the
+	// BatchFlushSlack mirrors edge.BatchConfig.FlushSlack for the
 	// boards' dispatchers (carried for configuration symmetry; the pool's
 	// analytic queues model occupancy, deadline cuts happen at serving).
 	BatchFlushSlack float64
@@ -468,7 +468,7 @@ func (p *Pool) Heartbeat(now float64, inj *fault.Injector) bool {
 // when the share undershoots capacity the dispatcher drains what it holds
 // rather than holding frames back, so lightly-loaded boards keep
 // single-frame latency. Deadline-slack cuts are a serving-path concern
-// (edge.SimConfig.Batch); the pool models occupancy. Never called at
+// (edge.BatchConfig.Size); the pool models occupancy. Never called at
 // Batch <= 1, so historical runs replay byte-identically.
 func (p *Pool) advanceBatches(now float64) {
 	full := float64(p.cfg.Batch)

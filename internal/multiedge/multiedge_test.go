@@ -169,8 +169,7 @@ func TestChaosPoolInvariants(t *testing.T) {
 		res, err := edge.Run(edge.Scenario2(), p, edge.SimConfig{
 			Seed:        seed,
 			RecordTrace: true,
-			FaultPlan:   plan,
-			FaultSeed:   seed * 101,
+			FaultConfig: edge.FaultConfig{Plan: plan, Seed: seed * 101},
 		})
 		if err != nil {
 			t.Fatal(err)

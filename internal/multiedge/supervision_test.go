@@ -49,7 +49,7 @@ func TestChaosAcceptanceCrashTwoOfFour(t *testing.T) {
 		var buf bytes.Buffer
 		sink := obs.NewJSONL(&buf)
 		res, err := edge.Run(edge.Scenario12(), p, edge.SimConfig{
-			Seed: 1, FaultPlan: plan, FaultSeed: 1, Deadline: 0.05,
+			Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}, AdmissionConfig: edge.AdmissionConfig{Deadline: 0.05},
 		}, edge.WithTracer(obs.New(sink, obs.Sample(1))))
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestChaosPropertyKillHalf(t *testing.T) {
 		var buf bytes.Buffer
 		sink := obs.NewJSONL(&buf)
 		res, err := edge.Run(edge.Scenario12(), p, edge.SimConfig{
-			Seed: seed, FaultPlan: plan, FaultSeed: seed * 31, RecordTrace: true, Deadline: 0.1,
+			Seed: seed, FaultConfig: edge.FaultConfig{Plan: plan, Seed: seed * 31}, RecordTrace: true, AdmissionConfig: edge.AdmissionConfig{Deadline: 0.1},
 		}, edge.WithTracer(obs.New(sink, obs.Sample(1))))
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestPoolStandbyPromotionAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultPlan: plan, FaultSeed: 1})
+	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestPoolQuorumDegradedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultPlan: plan, FaultSeed: 1})
+	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestPoolHangSuspectDeadRecover(t *testing.T) {
 	}
 	ring := obs.NewRing(4096)
 	poolOnly := obs.Filter(ring, func(ev obs.Event) bool { return ev.Cat == obs.PoolCat })
-	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultPlan: plan, FaultSeed: 1},
+	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}},
 		edge.WithTracer(obs.New(poolOnly)))
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestPoolEffectiveCapacityWeighting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultPlan: plan, FaultSeed: 1})
+		res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestPoolBlackoutServesNothingWithCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultPlan: plan, FaultSeed: 1})
+	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestGoldenPoolTraces(t *testing.T) {
 					return err
 				}
 				_, err = edge.Run(edge.Scenario12(), p, edge.SimConfig{
-					Seed: 1, FaultPlan: plan, FaultSeed: 1,
+					Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1},
 				}, edge.WithTracer(tr))
 				return err
 			},
@@ -429,7 +429,7 @@ func TestGoldenPoolTraces(t *testing.T) {
 					return err
 				}
 				_, err = edge.Run(overloadScenario(), p, edge.SimConfig{
-					Seed: 1, QueueFrames: 16, Deadline: 0.005,
+					Seed: 1, AdmissionConfig: edge.AdmissionConfig{QueueFrames: 16, Deadline: 0.005},
 				}, edge.WithTracer(tr))
 				return err
 			},
