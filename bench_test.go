@@ -331,28 +331,6 @@ func BenchmarkGemm(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmInt8 measures the integer fast-path kernel on the same
-// 64×576·576×196 shape as BenchmarkGemm, so the two rows of a bench run
-// read directly as the int8-vs-float kernel comparison.
-func BenchmarkGemmInt8(b *testing.B) {
-	a := tensor.NewInt8Matrix(64, 576)
-	for i := range a.Data {
-		a.Data[i] = int8(i%5 - 2)
-	}
-	c := tensor.NewInt8Matrix(576, 196)
-	for i := range c.Data {
-		c.Data[i] = int8(i%11 - 5)
-	}
-	dst := make([]int32, 64*196)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tensor.GemmInt8Into(dst, a, c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkGemmSizes compares the serial fast path against the pooled
 // parallel path on small/medium/large square GEMMs, writing into reused
 // scratch so allocs/op shows the zero-allocation steady state.
@@ -406,10 +384,11 @@ func BenchmarkIm2Col(b *testing.B) {
 	}
 }
 
-// BenchmarkConvForward measures one quantized convolution inference pass —
-// the per-image hot path of accuracy sweeps — where the EffectiveWeights
-// cache and the pooled im2col scratch keep steady-state allocations to the
-// output tensor alone.
+// BenchmarkConvForward measures one inference pass of a quantized
+// convolution with no known input grid, so on the float reference, where
+// the EffectiveWeights cache and the pooled im2col scratch keep
+// steady-state allocations to the output tensor alone. BenchmarkCNVLayer
+// covers the bit-plane path.
 func BenchmarkConvForward(b *testing.B) {
 	q, err := quant.NewWeightQuantizer(2)
 	if err != nil {
@@ -439,45 +418,58 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 }
 
-// BenchmarkConvForwardInt8 runs the BenchmarkConvForward layer with the
-// inference path pinned to each kernel, isolating the integer fast path
-// win from whatever the session default is (BenchmarkConvForward itself
-// uses the default, which is the int8 path for this 2-bit layer).
-func BenchmarkConvForwardInt8(b *testing.B) {
-	q, err := quant.NewWeightQuantizer(2)
+// BenchmarkCNVLayer times each convolution and dense layer of paper-scale
+// CNVW2A2 on its real input (a synthetic CIFAR-10 image run through the
+// layers before it), on the float reference and, where the layer's input
+// lies on an activation grid, on the bit-plane integer path. These are the
+// per-layer numbers behind the kernel choice in DESIGN.md, taken on one
+// worker so they compare kernels rather than the host's spare cores.
+func BenchmarkCNVLayer(b *testing.B) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
+	m, err := model.CNVW2A2("cifar10", 10, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	conv, err := nn.NewConv2D(nn.ConvConfig{
-		ID: "bench-int8",
-		Geom: tensor.ConvGeom{
-			InC: 64, InH: 16, InW: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1,
-		},
-		OutC: 64, Bias: true, WQuant: q,
-		InitRNG: rand.New(rand.NewSource(1)),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.New(64, 16, 16)
-	for i := range x.Data() {
-		x.Data()[i] = float32(i%9)*0.25 - 1
-	}
-	for _, bc := range []struct {
-		name string
-		int8 bool
-	}{{"int8", true}, {"float", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			prev := nn.SetInt8GEMM(bc.int8)
-			defer nn.SetInt8GEMM(prev)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := conv.Forward(x, false); err != nil {
-					b.Fatal(err)
-				}
+	x, _ := dataset.SyntheticCIFAR10(1).TestSample(0)
+	onGrid := false
+	for _, nl := range m.Net.Layers {
+		var id string
+		var quantized bool
+		switch l := nl.Layer.(type) {
+		case *nn.Conv2D:
+			id, quantized = l.ID, l.Quant != nil
+		case *nn.Dense:
+			id, quantized = l.ID, l.Quant != nil
+		}
+		if id != "" {
+			paths := []string{"float"}
+			if onGrid && quantized {
+				paths = append(paths, "bitplane")
 			}
-		})
+			for _, path := range paths {
+				b.Run(id+"/"+path, func(b *testing.B) {
+					prev := nn.SetInt8GEMM(path == "bitplane")
+					defer nn.SetInt8GEMM(prev)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := nl.Layer.Forward(x, false); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+		// Only pools and flattens keep a QuantAct's grid.
+		switch nl.Layer.(type) {
+		case *nn.QuantAct:
+			onGrid = true
+		case *nn.MaxPool2D, *nn.Flatten:
+		default:
+			onGrid = false
+		}
+		if x, err = nl.Layer.Forward(x, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package compile
 import (
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 
 	"repro/internal/dataset"
@@ -14,15 +13,6 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
-
-// The compiled dataflow programs reproduce the float fake-quantized
-// reference, so the logit comparisons below pin the nn engine to that path;
-// the integer fast path is only quantization-tolerance close, not 1e-3
-// close. Its own agreement bound is tested in internal/nn.
-func TestMain(m *testing.M) {
-	nn.SetInt8GEMM(false)
-	os.Exit(m.Run())
-}
 
 func trainedTiny(t *testing.T, wbits int, seed int64) (*model.Model, *dataset.Dataset) {
 	t.Helper()

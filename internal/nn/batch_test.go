@@ -10,12 +10,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// Bit-identity acceptance for the micro-batched inference path:
 // ForwardBatch(B frames) must equal B sequential Forward calls exactly —
-// float and int8 paths, at 1, 2 and NumCPU workers.
+// float and integer paths, at 1, 2 and NumCPU workers.
 
-// testBatchNet builds a small conv→relu→pool→flatten→dense network plus a
-// batch of random inputs. Quantized when bits > 0 (per-channel conv).
+// testBatchNet builds a small act→conv→act→pool→flatten→dense network
+// plus a batch of on-grid inputs. Quantized when bits > 0 (per-channel
+// conv); both weight layers then have an input grid.
 func testBatchNet(t *testing.T, bits, batch int, seed int64) (*Network, []*tensor.Tensor) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -48,14 +48,11 @@ func testBatchNet(t *testing.T, bits, batch int, seed int64) (*Network, []*tenso
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewNetwork(conv, NewReLU("r1"), pool, NewFlatten("f1"), dense)
+	aq := testGrid(t)
+	net := NewNetwork(&QuantAct{ID: "a0", Q: aq}, conv, &QuantAct{ID: "a1", Q: aq}, pool, NewFlatten("f1"), dense)
 	xs := make([]*tensor.Tensor, batch)
 	for j := range xs {
-		x := tensor.New(3, 12, 12)
-		for i := range x.Data() {
-			x.Data()[i] = float32(rng.NormFloat64())
-		}
-		xs[j] = x
+		xs[j] = onGrid(rng, tensor.New(3, 12, 12), aq)
 	}
 	return net, xs
 }
@@ -112,8 +109,8 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// The batched path must actually take the intended kernels: int8 batch
-// forwards count as int forwards, never float fallbacks.
+// A batch must take the integer path: its forwards count as int forwards,
+// never float fallbacks.
 func TestForwardBatchTakesInt8Path(t *testing.T) {
 	prev := SetInt8GEMM(true)
 	defer SetInt8GEMM(prev)
@@ -155,9 +152,9 @@ func TestForwardBatchEmpty(t *testing.T) {
 	}
 }
 
-// BenchmarkForwardBatch shows the per-frame amortization of batched
-// serving on the compute core (int8 path): batch=8 streams each weight
-// panel once per batch and escapes the n==1 GEMM matvec.
+// BenchmarkForwardBatch measures batched serving on the compute core
+// (integer path): a batch is served sample by sample, so batch=8 should
+// cost about eight batch=1 frames.
 func BenchmarkForwardBatch(b *testing.B) {
 	prev := SetInt8GEMM(true)
 	defer SetInt8GEMM(prev)
@@ -180,14 +177,11 @@ func BenchmarkForwardBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			net := NewNetwork(conv, NewReLU("r"), NewFlatten("f"), dense)
+			aq := testGrid(b)
+			net := NewNetwork(&QuantAct{ID: "a0", Q: aq}, conv, &QuantAct{ID: "a1", Q: aq}, NewFlatten("f"), dense)
 			xs := make([]*tensor.Tensor, batch)
 			for j := range xs {
-				x := tensor.New(16, 32, 32)
-				for i := range x.Data() {
-					x.Data()[i] = float32(rng.NormFloat64())
-				}
-				xs[j] = x
+				xs[j] = onGrid(rng, tensor.New(16, 32, 32), aq)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -106,6 +106,88 @@ func TestDenseQuantizedOnceAcrossInference(t *testing.T) {
 	}
 }
 
+// checkPackedCache runs two integer-path forwards of l on x and checks
+// that they quantized the weights wantPacks times between them, both took
+// the bit-plane path and agree, and that the result matches the float
+// reference of the current weights, so a stale packed cache shows as a
+// wrong output as well as a wrong count.
+func checkPackedCache(t *testing.T, stage string, l Layer, p *intPath, x *tensor.Tensor, effW func() (*tensor.Tensor, error), rows, wantPacks int) {
+	t.Helper()
+	runs, ints := p.quantRuns, p.intForwards
+	a, err := l.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := l.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.quantRuns - runs; got != wantPacks {
+		t.Fatalf("%s: two integer forwards quantized %d times, want %d", stage, got, wantPacks)
+	}
+	if got := p.intForwards - ints; got != 2 {
+		t.Fatalf("%s: %d of two forwards took the bit-plane path", stage, got)
+	}
+	if !tensor.Equal(a, b) {
+		t.Fatalf("%s: cached planes changed the forward result", stage)
+	}
+	w, err := effW()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFloatAgreement(t, l, x, w.Data(), rows)
+}
+
+// TestConvPackedWeightsCacheInvalidation guards the integer path's packed
+// weight cache the way TestConvQuantizedOnceAcrossInference guards
+// EffectiveWeights: packed once across inference, repacked after a prune
+// swaps in a new Param and after a weight edit plus version bump. The
+// prune comes first, while the old and new Params are both at version 0,
+// so only the Param's identity tells them apart.
+func TestConvPackedWeightsCacheInvalidation(t *testing.T) {
+	forceInt8(t)
+	c, x := testConv(t, 2, false)
+	checkPackedCache(t, "first", c, &c.intPath, x, c.EffectiveWeights, c.OutC, 1)
+	if err := c.PruneFilters([]int{3}); err != nil {
+		t.Fatal(err)
+	}
+	checkPackedCache(t, "prune", c, &c.intPath, x, c.EffectiveWeights, c.OutC, 1)
+	c.Weight.Value.Data()[0] += 1
+	c.Weight.BumpVersion()
+	checkPackedCache(t, "weight bump", c, &c.intPath, x, c.EffectiveWeights, c.OutC, 1)
+	checkPackedCache(t, "steady", c, &c.intPath, x, c.EffectiveWeights, c.OutC, 0)
+}
+
+// TestDensePackedWeightsCacheInvalidation covers the same cache on Dense.
+func TestDensePackedWeightsCacheInvalidation(t *testing.T) {
+	forceInt8(t)
+	rng := rand.New(rand.NewSource(6))
+	q, err := quant.NewWeightQuantizer(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDense(DenseConfig{ID: "d0", In: 70, Out: 5, Bias: true, WQuant: q, InitRNG: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aq := testGrid(t)
+	act, err := NewQuantAct("a", aq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	NewNetwork(act, NewFlatten("f"), d)
+	x := onGrid(rng, tensor.New(70), aq)
+	checkPackedCache(t, "first", d, &d.intPath, x, d.EffectiveWeights, d.Out, 1)
+	if err := d.PruneNeurons([]int{2}); err != nil {
+		t.Fatal(err)
+	}
+	checkPackedCache(t, "prune", d, &d.intPath, x, d.EffectiveWeights, d.Out, 1)
+	d.Weight.Value.Data()[0] += 1
+	d.Weight.BumpVersion()
+	checkPackedCache(t, "weight bump", d, &d.intPath, x, d.EffectiveWeights, d.Out, 1)
+	checkPackedCache(t, "steady", d, &d.intPath, x, d.EffectiveWeights, d.Out, 0)
+}
+
 // TestConvTrainStepInvalidatesCache walks the forward/backward/update cycle
 // by hand and checks a bumped version re-quantizes, so training never sees
 // stale weights.

@@ -32,15 +32,8 @@ type Dense struct {
 	effW        *tensor.Tensor
 	effWOf      *Param
 	effWVersion uint64
-	quantRuns   int
 
-	// Integer fast-path cache and path counters (see Conv2D).
-	effWQ        *tensor.Int8Matrix
-	effWQScale   float32
-	effWQOf      *Param
-	effWQVersion uint64
-	intForwards  int
-	floatFwds    int
+	intPath
 }
 
 // DenseConfig collects Dense construction options.
@@ -102,63 +95,6 @@ func (d *Dense) EffectiveWeights() (*tensor.Tensor, error) {
 	return q, nil
 }
 
-// int8Weights returns the weight grid codes and tensor-wide scale for the
-// integer fast path, cached until the weight version changes (see
-// Conv2D.int8Weights).
-func (d *Dense) int8Weights() (*tensor.Int8Matrix, float32, error) {
-	if d.effWQ != nil && d.effWQOf == d.Weight && d.effWQVersion == d.Weight.Version() {
-		return d.effWQ, d.effWQScale, nil
-	}
-	version := d.Weight.Version()
-	wq := tensor.NewInt8Matrix(d.Out, d.In)
-	scale, err := d.Quant.QuantizeTensorInt8(wq.Data, d.Weight.Value.Data())
-	if err != nil {
-		return nil, 0, err
-	}
-	d.quantRuns++
-	d.effWQ, d.effWQScale, d.effWQOf, d.effWQVersion = wq, scale, d.Weight, version
-	return wq, scale, nil
-}
-
-// useInt8 reports whether inference forwards take the integer fast path.
-func (d *Dense) useInt8() bool {
-	return d.Quant != nil && d.Quant.Int8Capable() && Int8GEMMEnabled()
-}
-
-// forwardInt8 is the inference fast path: an int8 matrix-vector product
-// accumulated in int32 with one float rescale (see Conv2D.forwardInt8).
-func (d *Dense) forwardInt8(x *tensor.Tensor) (*tensor.Tensor, error) {
-	wq, wScale, err := d.int8Weights()
-	if err != nil {
-		return nil, err
-	}
-	xq := tensor.BorrowInt8(d.In)
-	defer tensor.ReleaseInt8(xq)
-	sx, err := quant.QuantizeSymmetricInt8(xq, x.Data())
-	if err != nil {
-		return nil, err
-	}
-	acc := tensor.BorrowInt32(d.Out)
-	defer tensor.ReleaseInt32(acc)
-	if err := tensor.GemmInt8Into(acc, wq, &tensor.Int8Matrix{Rows: d.In, Cols: 1, Data: xq}); err != nil {
-		return nil, err
-	}
-	s := wScale * sx
-	out := tensor.New(d.Out)
-	od := out.Data()
-	for i, v := range acc[:d.Out] {
-		od[i] = float32(v) * s
-	}
-	if d.Bias != nil {
-		for i := range od {
-			od[i] += d.Bias.Value.Data()[i]
-		}
-	}
-	d.intForwards++
-	d.x, d.qw = nil, nil
-	return out, nil
-}
-
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if d.Weight == nil {
@@ -167,10 +103,19 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Len() != d.In {
 		return nil, fmt.Errorf("nn: dense %q input volume %d, want %d", d.ID, x.Len(), d.In)
 	}
-	if !train && d.useInt8() {
-		return d.forwardInt8(x)
-	}
 	if !train {
+		d.x, d.qw = nil, nil
+		if d.useInt(d.Quant) {
+			out := tensor.New(d.Out)
+			ok, err := d.forwardInt(out, x, d.Weight, d.Quant, false, d.geom())
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				d.addBias(out.Data())
+				return out, nil
+			}
+		}
 		d.floatFwds++
 	}
 	xm, err := x.Reshape(d.In, 1)
@@ -185,18 +130,28 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if err := tensor.GemmInto(out, wm, xm); err != nil {
 		return nil, err
 	}
-	if d.Bias != nil {
-		for i := range out.Data() {
-			out.Data()[i] += d.Bias.Value.Data()[i]
-		}
-	}
+	d.addBias(out.Data())
 	if train {
 		d.x = x.Clone()
 		d.qw = wm
-	} else {
-		d.x, d.qw = nil, nil
 	}
 	return out.Reshape(d.Out)
+}
+
+// geom is the dense layer as a convolution: In channels of one pixel
+// under a single tap.
+func (d *Dense) geom() tensor.ConvGeom {
+	return tensor.ConvGeom{InC: d.In, InH: 1, InW: 1, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+}
+
+// addBias adds the bias to one output vector, after the rescale.
+func (d *Dense) addBias(out []float32) {
+	if d.Bias == nil {
+		return
+	}
+	for i, b := range d.Bias.Value.Data() {
+		out[i] += b
+	}
 }
 
 // Backward implements Layer.

@@ -10,16 +10,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Acceptance tests for the integer inference fast path: quantized layers
-// must actually execute the int8 kernel (not silently fall back to float),
-// agree with the float reference within the activation-quantization bound,
-// and be bit-identical across worker counts.
-
-func forceFloat(t *testing.T) {
-	t.Helper()
-	prev := SetInt8GEMM(false)
-	t.Cleanup(func() { SetInt8GEMM(prev) })
-}
+// Acceptance tests for the integer inference path: a quantized layer whose
+// input lies on a known activation grid must actually execute the
+// bit-plane kernel (not silently fall back to float), agree with the float
+// reference to float rounding, be bit-identical across worker counts, and
+// fall back to float for off-grid inputs.
 
 func forceInt8(t *testing.T) {
 	t.Helper()
@@ -27,6 +22,26 @@ func forceInt8(t *testing.T) {
 	t.Cleanup(func() { SetInt8GEMM(prev) })
 }
 
+// testGrid is the A2 activation grid of the tests (levels 0, 2/3, 4/3, 2).
+func testGrid(t testing.TB) *quant.ActQuantizer {
+	t.Helper()
+	aq, err := quant.NewActQuantizer(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aq
+}
+
+// onGrid fills x with values of grid aq drawn from a normal distribution.
+func onGrid(rng *rand.Rand, x *tensor.Tensor, aq *quant.ActQuantizer) *tensor.Tensor {
+	for i := range x.Data() {
+		x.Data()[i] = aq.Quantize(float32(rng.NormFloat64()) * 1.5)
+	}
+	return x
+}
+
+// testConv builds a quantized conv behind a QuantAct, so Network.Append
+// records its input grid, and an on-grid input.
 func testConv(t *testing.T, bits int, perChannel bool) (*Conv2D, *tensor.Tensor) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(81))
@@ -45,78 +60,63 @@ func testConv(t *testing.T, bits int, perChannel bool) (*Conv2D, *tensor.Tensor)
 	for i := range c.Bias.Value.Data() {
 		c.Bias.Value.Data()[i] = float32(rng.NormFloat64()) * 0.1
 	}
-	x := tensor.New(3, 9, 9)
-	for i := range x.Data() {
-		x.Data()[i] = float32(rng.NormFloat64())
+	aq := testGrid(t)
+	act, err := NewQuantAct("a", aq)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return c, x
+	NewNetwork(act, c)
+	return c, onGrid(rng, tensor.New(3, 9, 9), aq)
 }
 
-// intFloatBound returns the worst-case deviation of the integer path from
-// the float reference for output row o: the input codes are off by at most
-// half an activation step, scaled through the row's effective-weight ℓ1
-// norm, plus slack for float rounding in the reference GEMM itself.
-func intFloatBound(effW []float32, rowLen, o int, sx float32) float64 {
-	var l1 float64
-	for _, w := range effW[o*rowLen : (o+1)*rowLen] {
-		l1 += math.Abs(float64(w))
+// checkFloatAgreement runs layer on x on both paths and bounds their
+// difference by float32 rounding: the float GEMM's relative error over
+// k products, relative to Σ|w·x| (the bit-plane sum is exact).
+func checkFloatAgreement(t *testing.T, l Layer, x *tensor.Tensor, effW []float32, rows int) (intOut *tensor.Tensor) {
+	t.Helper()
+	intOut, err := l.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return 0.5*float64(sx)*l1*(1+1e-5) + 1e-4
+	prev := SetInt8GEMM(false)
+	floatOut, err := l.Forward(x, false)
+	SetInt8GEMM(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowLen := len(effW) / rows
+	cols := intOut.Len() / rows
+	var xMax float64
+	for _, v := range x.Data() {
+		xMax = math.Max(xMax, math.Abs(float64(v)))
+	}
+	for i, iv := range intOut.Data() {
+		var l1 float64
+		for _, w := range effW[i/cols*rowLen : (i/cols+1)*rowLen] {
+			l1 += math.Abs(float64(w))
+		}
+		bound := float64(rowLen)*1.2e-7*l1*xMax + 1e-6
+		if d := math.Abs(float64(iv - floatOut.Data()[i])); d > bound {
+			t.Fatalf("out[%d]: bit-plane %v float %v, |Δ|=%v > bound %v", i, iv, floatOut.Data()[i], d, bound)
+		}
+	}
+	return intOut
 }
 
 func TestQuantizedConvTakesInt8Path(t *testing.T) {
 	for _, perChannel := range []bool{false, true} {
 		forceInt8(t)
 		c, x := testConv(t, 2, perChannel)
-
-		intOut, err := c.Forward(x, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.intForwards != 1 || c.floatFwds != 0 {
-			t.Fatalf("perChannel=%v: int path not taken (int=%d float=%d)",
-				perChannel, c.intForwards, c.floatFwds)
-		}
-
-		SetInt8GEMM(false)
-		floatOut, err := c.Forward(x, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.floatFwds != 1 {
-			t.Fatalf("perChannel=%v: float path not taken after SetInt8GEMM(false)", perChannel)
-		}
-
 		effW, err := c.EffectiveWeights()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sx := actScale(x.Data())
-		rowLen := c.Geom.InC * c.Geom.KH * c.Geom.KW
-		cols := intOut.Len() / c.OutC
-		for i := range intOut.Data() {
-			bound := intFloatBound(effW.Data(), rowLen, i/cols, sx)
-			if d := math.Abs(float64(intOut.Data()[i] - floatOut.Data()[i])); d > bound {
-				t.Fatalf("perChannel=%v out[%d]: int %v float %v, |Δ|=%v > bound %v",
-					perChannel, i, intOut.Data()[i], floatOut.Data()[i], d, bound)
-			}
+		checkFloatAgreement(t, c, x, effW.Data(), c.OutC)
+		if c.intForwards != 1 || c.floatFwds != 1 {
+			t.Fatalf("perChannel=%v: int=%d float=%d, want one forward on each path",
+				perChannel, c.intForwards, c.floatFwds)
 		}
 	}
-}
-
-// actScale reproduces the dynamic activation scale QuantizeSymmetricInt8
-// derives, for building tolerance bounds.
-func actScale(xs []float32) float32 {
-	var maxAbs float32
-	for _, v := range xs {
-		if v < 0 {
-			v = -v
-		}
-		if v > maxAbs {
-			maxAbs = v
-		}
-	}
-	return maxAbs / 127
 }
 
 func TestQuantizedDenseTakesInt8Path(t *testing.T) {
@@ -126,43 +126,23 @@ func TestQuantizedDenseTakesInt8Path(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDense(DenseConfig{ID: "d", In: 37, Out: 11, Bias: true, WQuant: q, InitRNG: rng})
+	d, err := NewDense(DenseConfig{ID: "d", In: 137, Out: 11, Bias: true, WQuant: q, InitRNG: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(37)
-	for i := range x.Data() {
-		x.Data()[i] = float32(rng.NormFloat64())
-	}
-
-	intOut, err := d.Forward(x, false)
+	aq := testGrid(t)
+	act, err := NewQuantAct("a", aq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.intForwards != 1 || d.floatFwds != 0 {
-		t.Fatalf("int path not taken (int=%d float=%d)", d.intForwards, d.floatFwds)
-	}
-
-	SetInt8GEMM(false)
-	floatOut, err := d.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.floatFwds != 1 {
-		t.Fatal("float path not taken after SetInt8GEMM(false)")
-	}
-
+	NewNetwork(act, NewFlatten("f"), d)
 	effW, err := d.EffectiveWeights()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sx := actScale(x.Data())
-	for o := 0; o < d.Out; o++ {
-		bound := intFloatBound(effW.Data(), d.In, o, sx)
-		if diff := math.Abs(float64(intOut.Data()[o] - floatOut.Data()[o])); diff > bound {
-			t.Fatalf("out[%d]: int %v float %v, |Δ|=%v > bound %v",
-				o, intOut.Data()[o], floatOut.Data()[o], diff, bound)
-		}
+	checkFloatAgreement(t, d, onGrid(rng, tensor.New(137), aq), effW.Data(), d.Out)
+	if d.intForwards != 1 || d.floatFwds != 1 {
+		t.Fatalf("int=%d float=%d, want one forward on each path", d.intForwards, d.floatFwds)
 	}
 }
 
@@ -170,10 +150,10 @@ func TestInt8PathBitIdenticalAcrossWorkers(t *testing.T) {
 	forceInt8(t)
 	prevGrain := tensor.SetParallelGrain(1)
 	defer tensor.SetParallelGrain(prevGrain)
-	c, x := testConv(t, 2, true)
+	c, x := testConv(t, 3, true)
 	var first []float32
-	for _, cap := range []int{1, 2, runtime.NumCPU()} {
-		prev := tensor.SetMaxWorkers(cap)
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		prev := tensor.SetMaxWorkers(workers)
 		out, err := c.Forward(x, false)
 		tensor.SetMaxWorkers(prev)
 		if err != nil {
@@ -185,13 +165,94 @@ func TestInt8PathBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 		for i, v := range out.Data() {
 			if v != first[i] {
-				t.Fatalf("workers=%d: out[%d] = %v, 1-worker %v", cap, i, v, first[i])
+				t.Fatalf("workers=%d: out[%d] = %v, 1-worker %v", workers, i, v, first[i])
 			}
 		}
 	}
 	if c.intForwards != 3 {
 		t.Fatalf("intForwards = %d, want 3", c.intForwards)
 	}
+}
+
+// An input value off the recorded grid sends that forward to the float
+// reference, and the path counter records the fallback.
+func TestOffGridInputFallsBackToFloat(t *testing.T) {
+	forceInt8(t)
+	c, x := testConv(t, 2, false)
+	x.Data()[17] = 0.5 // between the levels 0 and 2/3
+	got, err := c.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.intForwards != 0 || c.floatFwds != 1 {
+		t.Fatalf("off-grid input: int=%d float=%d, want a float fallback", c.intForwards, c.floatFwds)
+	}
+	SetInt8GEMM(false)
+	want, err := c.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.Equal(got, want) {
+		t.Fatal("off-grid fallback differs from the float reference")
+	}
+}
+
+// Append records the grid of the nearest upstream QuantAct through pools
+// and flattens only; clones and skeletons inherit it by construction.
+func TestAppendRecordsInputGrid(t *testing.T) {
+	aq := testGrid(t)
+	act, err := NewQuantAct("a", aq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+	conv := func(id string) *Conv2D {
+		c, err := NewConv2D(ConvConfig{ID: id, Geom: geom, OutC: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	dense := func(id string) *Dense {
+		d, err := NewDense(DenseConfig{ID: id, In: 8, Out: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	pool, err := NewMaxPool2D("p", tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewScaleShift("s", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, c1, c2 := conv("c0"), conv("c1"), conv("c2")
+	d0, d1 := dense("d0"), dense("d1")
+	net := NewNetwork(c0, act, c1, ss, c2, &QuantAct{ID: "a2", Q: aq}, pool, NewFlatten("f"), d0, d1)
+	want := map[string]*quant.ActQuantizer{"c0": nil, "c1": aq, "c2": nil, "d0": aq, "d1": nil}
+	for _, n := range []*Network{net, mustClone(t, CloneNetwork, net), mustClone(t, Skeleton, net)} {
+		for _, c := range n.Convs() {
+			if c.inGrid != want[c.ID] {
+				t.Fatalf("conv %s: grid %v, want %v", c.ID, c.inGrid, want[c.ID])
+			}
+		}
+		for _, d := range n.Denses() {
+			if d.inGrid != want[d.ID] {
+				t.Fatalf("dense %s: grid %v, want %v", d.ID, d.inGrid, want[d.ID])
+			}
+		}
+	}
+}
+
+func mustClone(t *testing.T, clone func(*Network) (*Network, error), n *Network) *Network {
+	t.Helper()
+	c, err := clone(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestFloatLayersNeverTakeInt8Path(t *testing.T) {
@@ -205,15 +266,13 @@ func TestFloatLayersNeverTakeInt8Path(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(2, 5, 5)
-	for i := range x.Data() {
-		x.Data()[i] = float32(rng.NormFloat64())
-	}
-	if _, err := c.Forward(x, false); err != nil {
+	aq := testGrid(t)
+	NewNetwork(&QuantAct{ID: "a", Q: aq}, c)
+	if _, err := c.Forward(onGrid(rng, tensor.New(2, 5, 5), aq), false); err != nil {
 		t.Fatal(err)
 	}
 	if c.intForwards != 0 {
-		t.Fatal("float layer took the int8 path")
+		t.Fatal("float layer took the integer path")
 	}
 }
 
@@ -228,7 +287,7 @@ func TestTrainingStaysOnFloatPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.intForwards != 0 {
-		t.Fatal("training forward took the int8 path")
+		t.Fatal("training forward took the integer path")
 	}
 	grad := tensor.New(out.Shape()...)
 	for i := range grad.Data() {
@@ -252,11 +311,9 @@ func TestWideGridFallsBackToFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.New(8)
-	for i := range x.Data() {
-		x.Data()[i] = float32(rng.NormFloat64())
-	}
-	if _, err := d.Forward(x, false); err != nil {
+	aq := testGrid(t)
+	NewNetwork(&QuantAct{ID: "a", Q: aq}, d)
+	if _, err := d.Forward(onGrid(rng, tensor.New(8), aq), false); err != nil {
 		t.Fatal(err)
 	}
 	if d.intForwards != 0 || d.floatFwds != 1 {

@@ -4,12 +4,11 @@
 // activations), a sequential network container, and the softmax
 // cross-entropy loss.
 //
-// Training processes one sample at a time; inference additionally offers a
-// micro-batched path (Network.ForwardBatch) that packs B samples into one
-// GEMM call for Dense layers and streams each convolution weight panel once
-// per batch — bit-identical to B sequential Forward calls. Layers cache
-// forward state for the following backward call, so a network must not be
-// shared between goroutines without external synchronization.
+// Training and inference process one sample at a time (Network.ForwardBatch
+// is a loop over Forward). Quantized layers with an on-grid input infer on
+// the bit-plane integer kernel (see SetInt8GEMM). Layers cache forward
+// state for the following backward call, so a network must not be shared
+// between goroutines without external synchronization.
 //
 // Quantization follows FINN/Brevitas conventions: weights are
 // fake-quantized on the forward pass with straight-through gradients, and
@@ -23,6 +22,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -94,9 +94,33 @@ func NewNetwork(layers ...Layer) *Network {
 	return n
 }
 
-// Append adds a layer at the end.
+// Append adds a layer at the end. A Conv2D or Dense records the grid its
+// input lies on (see intPath), so clones, skeletons and loaded models get
+// it by construction.
 func (n *Network) Append(l Layer) {
+	switch l := l.(type) {
+	case *Conv2D:
+		l.inGrid = n.outputGrid()
+	case *Dense:
+		l.inGrid = n.outputGrid()
+	}
 	n.Layers = append(n.Layers, &NamedLayer{Index: len(n.Layers), Layer: l})
+}
+
+// outputGrid returns the activation grid the network's current output lies
+// on: the quantizer of the last QuantAct when only MaxPool2D and Flatten
+// follow it (both keep grid values), else nil.
+func (n *Network) outputGrid() *quant.ActQuantizer {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		switch l := n.Layers[i].Layer.(type) {
+		case *QuantAct:
+			return l.Q
+		case *MaxPool2D, *Flatten:
+		default:
+			return nil
+		}
+	}
+	return nil
 }
 
 // Forward runs all layers in order.

@@ -109,66 +109,6 @@ func TestInt8RejectsWideGrids(t *testing.T) {
 	}
 }
 
-func TestQuantizeSymmetricInt8(t *testing.T) {
-	src := []float32{0, 1, -1, 0.5, -0.25, 127, -127}
-	dst := make([]int8, len(src))
-	scale, err := QuantizeSymmetricInt8(dst, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale != 1 {
-		t.Fatalf("scale = %v, want 1 (maxAbs 127 / 127)", scale)
-	}
-	want := []int8{0, 1, -1, 1, 0, 127, -127} // 0.5 rounds away, -0.25 to 0
-	for i, w := range want {
-		if dst[i] != w {
-			t.Fatalf("code[%d] = %d, want %d", i, dst[i], w)
-		}
-	}
-
-	// All-zero input: scale 0 and zero codes, so code*scale stays exact.
-	clear(src)
-	for i := range dst {
-		dst[i] = 99
-	}
-	scale, err = QuantizeSymmetricInt8(dst, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale != 0 {
-		t.Fatalf("zero-input scale = %v", scale)
-	}
-	for i, c := range dst {
-		if c != 0 {
-			t.Fatalf("zero-input code[%d] = %d", i, c)
-		}
-	}
-
-	if _, err := QuantizeSymmetricInt8(make([]int8, 2), make([]float32, 3)); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestQuantizeSymmetricInt8Bound(t *testing.T) {
-	// |x - code*scale| ≤ scale/2 for every in-range input: the bound the
-	// nn acceptance tests build their int-vs-float tolerance from.
-	rng := rand.New(rand.NewSource(63))
-	src := make([]float32, 512)
-	for i := range src {
-		src[i] = float32(rng.NormFloat64())
-	}
-	dst := make([]int8, len(src))
-	scale, err := QuantizeSymmetricInt8(dst, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range src {
-		if d := math.Abs(float64(v - float32(dst[i])*scale)); d > float64(scale)/2*(1+1e-6) {
-			t.Fatalf("input %v: code %d, error %v > scale/2 = %v", v, dst[i], d, scale/2)
-		}
-	}
-}
-
 // FuzzRoundHalfAway pins the rounding rule shared by the float and integer
 // quantization paths: halves round away from zero, results are exact
 // integers, and the int8 clamp boundaries stay consistent between

@@ -48,8 +48,8 @@ func (q *WeightQuantizer) Levels() int { return wLevels(q.Bits) }
 
 // RoundHalfAway rounds to the nearest integer with halves away from zero
 // (2.5 → 3, -2.5 → -3). This is the single rounding rule of every grid in
-// this package — weight grids, activation levels and the int8 code path
-// all round identically, so the integer kernels in internal/tensor
+// this package — weight grids, activation levels and the int8 weight
+// codes all round identically, so the integer kernels in internal/tensor
 // reproduce the fake-quantized float values bit for bit.
 func RoundHalfAway(v float32) float32 {
 	return float32(math.Round(float64(v)))
@@ -128,7 +128,7 @@ func (q *WeightQuantizer) TensorScale(ws []float32) float32 {
 }
 
 // quantizeWith rounds w onto the grid with the given step. It is exactly
-// codeWith(w, scale) * scale; the two must stay in lockstep so the int8
+// codeWith(w, scale) * scale; the two must stay in lockstep so the integer
 // kernels agree with the fake-quantized floats.
 func (q *WeightQuantizer) quantizeWith(w, scale float32) float32 {
 	return float32(q.codeWith(w, scale)) * scale
@@ -194,15 +194,15 @@ func (q *WeightQuantizer) QuantizeTensorPerChannel(dst, src []float32, rowLen in
 }
 
 // Int8Capable reports whether this quantizer's grid fits signed int8
-// codes, i.e. whether the integer GEMM fast path can carry its weights.
+// codes, i.e. whether the integer inference path can carry its weights.
 // Every grid up to 8 bits has at most ±127 levels.
 func (q *WeightQuantizer) Int8Capable() bool { return q.Bits <= 8 }
 
 // QuantizeTensorInt8 writes the adaptively-scaled int8 grid codes of src
 // into dst and returns the scale, such that float32(dst[i])*scale is
 // bit-identical to what QuantizeTensor writes. This is the weight view the
-// int8×int8→int32 GEMM kernels in internal/tensor consume. It errors for
-// grids wider than 8 bits (codes would not fit int8).
+// bit-plane kernel in internal/tensor packs. It errors for grids wider
+// than 8 bits (codes would not fit int8).
 func (q *WeightQuantizer) QuantizeTensorInt8(dst []int8, src []float32) (float32, error) {
 	if !q.Int8Capable() {
 		return 0, fmt.Errorf("quant: %d-bit grid does not fit int8 codes", q.Bits)
@@ -241,44 +241,6 @@ func (q *WeightQuantizer) QuantizeTensorPerChannelInt8(dst []int8, src []float32
 		}
 	}
 	return scales, nil
-}
-
-// QuantizeSymmetricInt8 quantizes src onto a symmetric int8 grid whose
-// scale is chosen so the largest magnitude maps to ±127 (dynamic
-// activation quantization), writes the codes into dst and returns the
-// scale. An all-zero input returns scale 0 with all-zero codes, so
-// code*scale is still exact. len(dst) must equal len(src).
-func QuantizeSymmetricInt8(dst []int8, src []float32) (float32, error) {
-	if len(dst) != len(src) {
-		return 0, fmt.Errorf("quant: QuantizeSymmetricInt8 length mismatch %d vs %d", len(dst), len(src))
-	}
-	var maxAbs float32
-	for _, v := range src {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		clear(dst)
-		return 0, nil
-	}
-	scale := maxAbs / 127
-	inv := 1 / scale
-	for i, v := range src {
-		r := RoundHalfAway(v * inv)
-		if r > 127 {
-			r = 127
-		}
-		if r < -127 {
-			r = -127
-		}
-		dst[i] = int8(r)
-	}
-	return scale, nil
 }
 
 // STEGrad implements the straight-through estimator: the gradient passes
@@ -341,6 +303,14 @@ func (q *ActQuantizer) Code(x float32) int {
 		return q.Levels() - 1
 	}
 	return int(RoundHalfAway(x / q.Step()))
+}
+
+// GridCode returns Code(x) and whether x lies on the grid, i.e.
+// Quantize(x) == x. The integer inference path packs activations by it
+// and rescales code k by Step(), which for the top code equals Max up to
+// float32 rounding.
+func (q *ActQuantizer) GridCode(x float32) (uint, bool) {
+	return uint(q.Code(x)), q.Quantize(x) == x
 }
 
 // STEGrad passes the gradient through inside (0, Max) and clips outside,

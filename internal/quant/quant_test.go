@@ -212,6 +212,32 @@ func TestActQuantizeA2(t *testing.T) {
 	}
 }
 
+// GridCode must accept exactly the values Quantize maps to themselves,
+// with their Code: every quantized output is on the grid, and values
+// between levels, below zero, above Max or NaN are not.
+func TestGridCodeMatchesQuantize(t *testing.T) {
+	for _, bits := range []int{1, 2, 3, 4} {
+		for _, max := range []float32{1, 2, 3, 6.5} {
+			q, err := NewActQuantizer(bits, max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := -10; i <= 200; i++ {
+				v := q.Quantize(float32(i) * max / 150)
+				k, ok := q.GridCode(v)
+				if !ok || int(k) != q.Code(v) {
+					t.Fatalf("A%d max=%v: GridCode(%v) = %d,%v, want %d,true", bits, max, v, k, ok, q.Code(v))
+				}
+			}
+			for _, v := range []float32{-q.Step(), q.Step() / 2, max * 1.01, float32(math.NaN())} {
+				if _, ok := q.GridCode(v); ok {
+					t.Fatalf("A%d max=%v: off-grid %v accepted", bits, max, v)
+				}
+			}
+		}
+	}
+}
+
 func TestActSTEGrad(t *testing.T) {
 	q, _ := NewActQuantizer(2, 3)
 	if q.STEGrad(1.5, 2) != 2 {

@@ -30,6 +30,11 @@ func (g ConvGeom) Validate() error {
 		return fmt.Errorf("tensor: conv geometry has non-positive stride %dx%d", g.StrideH, g.StrideW)
 	case g.PadH < 0 || g.PadW < 0:
 		return fmt.Errorf("tensor: conv geometry has negative padding %dx%d", g.PadH, g.PadW)
+	case g.KH > g.InH+2*g.PadH || g.KW > g.InW+2*g.PadW:
+		// Checked before OutH/OutW, whose truncating division would
+		// otherwise count one window when the overhang is below the stride.
+		return fmt.Errorf("tensor: conv kernel %dx%d exceeds padded input %dx%d",
+			g.KH, g.KW, g.InH+2*g.PadH, g.InW+2*g.PadW)
 	case g.OutH() <= 0 || g.OutW() <= 0:
 		return fmt.Errorf("tensor: conv geometry yields empty output %dx%d", g.OutH(), g.OutW())
 	}
@@ -98,260 +103,6 @@ func Im2ColInto(dst, in *Tensor, g ConvGeom) error {
 		}
 	})
 	return nil
-}
-
-// convTileCols is the number of output positions per streamed patch tile
-// of the fused int8 convolution: one kcPanel×convTileCols int8 patch panel
-// (≤16 KiB) plus the four int32 accumulator rows it feeds stay L1-resident.
-const convTileCols = 128
-
-// ConvInt8Into computes a quantized convolution without ever materializing
-// the full im2col patch matrix: dst = rescale(W · im2col(x)), where W is
-// the (OutC × InC·KH·KW) int8 weight matrix, x the int8-quantized CHW
-// input, and rescale multiplies output row o by outScales[o] (or
-// outScales[0] when a single tensor-wide scale is given). dst is a
-// caller-provided rank-2 (OutC × OutH·OutW) float32 tensor, fully
-// overwritten.
-//
-// This is the fused streaming SWU+MVTU: receptive-field windows are
-// lowered into kcPanel×convTileCols panels that feed the int8 GEMM inner
-// loop directly, so peak scratch is one L1-sized panel per worker instead
-// of the full (InC·KH·KW)×(OutH·OutW) patch matrix. Output-position tiles
-// are split across the package worker pool; integer accumulation is exact,
-// so results are bit-identical for any worker count and tile schedule.
-func ConvInt8Into(dst *Tensor, w *Int8Matrix, x []int8, g ConvGeom, outScales []float32) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	oh, ow := g.OutH(), g.OutW()
-	cols := oh * ow
-	k := g.InC * g.KH * g.KW
-	outC := w.Rows
-	if w.Cols != k || len(w.Data) != outC*k {
-		return fmt.Errorf("tensor: ConvInt8Into weights %dx%d, want %dx%d", w.Rows, w.Cols, outC, k)
-	}
-	if len(x) != g.InC*g.InH*g.InW {
-		return fmt.Errorf("tensor: ConvInt8Into input length %d does not match geometry %dx%dx%d",
-			len(x), g.InC, g.InH, g.InW)
-	}
-	if dst.Rank() != 2 || dst.shape[0] != outC || dst.shape[1] != cols {
-		return fmt.Errorf("tensor: ConvInt8Into dst %v, want %dx%d", dst.shape, outC, cols)
-	}
-	if len(outScales) != 1 && len(outScales) != outC {
-		return fmt.Errorf("tensor: ConvInt8Into wants 1 or %d output scales, got %d", outC, len(outScales))
-	}
-	od := dst.data
-	wd := w.Data
-	kc := min(kcPanel, k)
-	tiles := (cols + convTileCols - 1) / convTileCols
-	parallelFor(tiles, outC*k*convTileCols, func(tLo, tHi int) {
-		patch := BorrowInt8(kc * convTileCols)
-		acc := BorrowInt32(outC * convTileCols)
-		defer ReleaseInt8(patch)
-		defer ReleaseInt32(acc)
-		for t := tLo; t < tHi; t++ {
-			j0 := t * convTileCols
-			j1 := min(j0+convTileCols, cols)
-			tw := j1 - j0
-			clear(acc[:outC*tw])
-			for p0 := 0; p0 < k; p0 += kc {
-				p1 := min(p0+kc, k)
-				streamPatchPanel(patch, x, g, p0, p1, j0, j1, ow)
-				convInt8Panel(acc, wd, patch, outC, k, p0, p1, tw)
-			}
-			for o := 0; o < outC; o++ {
-				s := outScales[0]
-				if len(outScales) > 1 {
-					s = outScales[o]
-				}
-				drow := od[o*cols+j0 : o*cols+j1]
-				for jj, v := range acc[o*tw : o*tw+tw] {
-					drow[jj] = float32(v) * s
-				}
-			}
-		}
-	})
-	return nil
-}
-
-// ConvInt8BatchInto is the batched form of ConvInt8Into: it convolves B
-// same-geometry inputs against one weight matrix, writing each sample's
-// rescaled output into dsts[b]. The loop nest is reordered so that within
-// an output tile each weight panel is walked once per batch — the panel
-// stays cache-resident across the B samples instead of being re-streamed
-// per frame — while each sample's patch panels are still lowered one at a
-// time (peak scratch stays one panel plus B accumulator tiles per worker).
-//
-// Per sample, every output element accumulates exactly the products of
-// ConvInt8Into in the same ascending-panel order; integer accumulation is
-// exact, so each dsts[b] is bit-identical to a standalone ConvInt8Into
-// call for any worker count and batch size. outScales[b] follows the
-// outScales contract of ConvInt8Into (1 or OutC entries per sample).
-func ConvInt8BatchInto(dsts []*Tensor, w *Int8Matrix, xs [][]int8, g ConvGeom, outScales [][]float32) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	bsz := len(dsts)
-	if bsz == 0 || len(xs) != bsz || len(outScales) != bsz {
-		return fmt.Errorf("tensor: ConvInt8BatchInto wants equal non-zero dsts/xs/outScales, got %d/%d/%d",
-			len(dsts), len(xs), len(outScales))
-	}
-	oh, ow := g.OutH(), g.OutW()
-	cols := oh * ow
-	k := g.InC * g.KH * g.KW
-	outC := w.Rows
-	if w.Cols != k || len(w.Data) != outC*k {
-		return fmt.Errorf("tensor: ConvInt8BatchInto weights %dx%d, want %dx%d", w.Rows, w.Cols, outC, k)
-	}
-	for b := 0; b < bsz; b++ {
-		if len(xs[b]) != g.InC*g.InH*g.InW {
-			return fmt.Errorf("tensor: ConvInt8BatchInto input %d length %d does not match geometry %dx%dx%d",
-				b, len(xs[b]), g.InC, g.InH, g.InW)
-		}
-		if dsts[b].Rank() != 2 || dsts[b].shape[0] != outC || dsts[b].shape[1] != cols {
-			return fmt.Errorf("tensor: ConvInt8BatchInto dst %d %v, want %dx%d", b, dsts[b].shape, outC, cols)
-		}
-		if len(outScales[b]) != 1 && len(outScales[b]) != outC {
-			return fmt.Errorf("tensor: ConvInt8BatchInto wants 1 or %d output scales for sample %d, got %d",
-				outC, b, len(outScales[b]))
-		}
-	}
-	wd := w.Data
-	kc := min(kcPanel, k)
-	tiles := (cols + convTileCols - 1) / convTileCols
-	parallelFor(tiles, bsz*outC*k*convTileCols, func(tLo, tHi int) {
-		patch := BorrowInt8(kc * convTileCols)
-		acc := BorrowInt32(bsz * outC * convTileCols)
-		defer ReleaseInt8(patch)
-		defer ReleaseInt32(acc)
-		for t := tLo; t < tHi; t++ {
-			j0 := t * convTileCols
-			j1 := min(j0+convTileCols, cols)
-			tw := j1 - j0
-			clear(acc[:bsz*outC*tw])
-			for p0 := 0; p0 < k; p0 += kc {
-				p1 := min(p0+kc, k)
-				for b := 0; b < bsz; b++ {
-					streamPatchPanel(patch, xs[b], g, p0, p1, j0, j1, ow)
-					convInt8Panel(acc[b*outC*tw:(b+1)*outC*tw], wd, patch, outC, k, p0, p1, tw)
-				}
-			}
-			for b := 0; b < bsz; b++ {
-				od := dsts[b].data
-				scales := outScales[b]
-				bacc := acc[b*outC*tw : (b+1)*outC*tw]
-				for o := 0; o < outC; o++ {
-					s := scales[0]
-					if len(scales) > 1 {
-						s = scales[o]
-					}
-					drow := od[o*cols+j0 : o*cols+j1]
-					for jj, v := range bacc[o*tw : o*tw+tw] {
-						drow[jj] = float32(v) * s
-					}
-				}
-			}
-		}
-	})
-	return nil
-}
-
-// streamPatchPanel lowers patch-matrix rows [p0,p1) restricted to output
-// positions [j0,j1) into panel (row-major, width j1-j0), zeroing padding.
-// This is Im2ColInto's loop nest confined to one cache panel.
-func streamPatchPanel(panel []int8, x []int8, g ConvGeom, p0, p1, j0, j1, ow int) {
-	tw := j1 - j0
-	kk := g.KH * g.KW
-	for r := p0; r < p1; r++ {
-		c := r / kk
-		rem := r % kk
-		kh := rem / g.KW
-		kw := rem % g.KW
-		dstRow := panel[(r-p0)*tw : (r-p0+1)*tw]
-		j := j0
-		for j < j1 {
-			oy := j / ow
-			ox := j % ow
-			rowEnd := min(j1, (oy+1)*ow)
-			iy := oy*g.StrideH - g.PadH + kh
-			if iy < 0 || iy >= g.InH {
-				clear(dstRow[j-j0 : rowEnd-j0])
-				j = rowEnd
-				continue
-			}
-			base := (c*g.InH + iy) * g.InW
-			for ; j < rowEnd; j++ {
-				ix := ox*g.StrideW - g.PadW + kw
-				if ix < 0 || ix >= g.InW {
-					dstRow[j-j0] = 0
-				} else {
-					dstRow[j-j0] = x[base+ix]
-				}
-				ox++
-			}
-		}
-	}
-}
-
-// convInt8Panel accumulates acc += W[:, p0:p1] · panel with the same
-// 4-row register blocking and skip-on-zero fusion as gemmInt8Panel; panel
-// holds patch rows [p0,p1) at width tw, acc is OutC×tw.
-func convInt8Panel(acc []int32, wd, panel []int8, outC, k, p0, p1, tw int) {
-	i := 0
-	for ; i+4 <= outC; i += 4 {
-		c0 := acc[i*tw : (i+1)*tw]
-		c1 := acc[(i+1)*tw : (i+2)*tw]
-		c2 := acc[(i+2)*tw : (i+3)*tw]
-		c3 := acc[(i+3)*tw : (i+4)*tw]
-		a0 := wd[i*k : (i+1)*k]
-		a1 := wd[(i+1)*k : (i+2)*k]
-		a2 := wd[(i+2)*k : (i+3)*k]
-		a3 := wd[(i+3)*k : (i+4)*k]
-		for p := p0; p < p1; p++ {
-			brow := panel[(p-p0)*tw : (p-p0+1)*tw]
-			av0, av1, av2, av3 := int32(a0[p]), int32(a1[p]), int32(a2[p]), int32(a3[p])
-			if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-				axpy4i8(c0, c1, c2, c3, brow, av0, av1, av2, av3)
-				continue
-			}
-			var rows [3][]int32
-			var coef [3]int32
-			nz := 0
-			if av0 != 0 {
-				rows[nz], coef[nz] = c0, av0
-				nz++
-			}
-			if av1 != 0 {
-				rows[nz], coef[nz] = c1, av1
-				nz++
-			}
-			if av2 != 0 {
-				rows[nz], coef[nz] = c2, av2
-				nz++
-			}
-			if av3 != 0 {
-				rows[nz], coef[nz] = c3, av3
-				nz++
-			}
-			switch nz {
-			case 3:
-				axpy3i8(rows[0], rows[1], rows[2], brow, coef[0], coef[1], coef[2])
-			case 2:
-				axpy2i8(rows[0], rows[1], brow, coef[0], coef[1])
-			case 1:
-				axpyi8(rows[0], brow, coef[0])
-			}
-		}
-	}
-	for ; i < outC; i++ {
-		crow := acc[i*tw : (i+1)*tw]
-		arow := wd[i*k : (i+1)*k]
-		for p := p0; p < p1; p++ {
-			if av := int32(arow[p]); av != 0 {
-				axpyi8(crow, panel[(p-p0)*tw:(p-p0+1)*tw], av)
-			}
-		}
-	}
 }
 
 // Col2Im is the adjoint of Im2Col: it scatters a (InC·KH·KW)×(OutH·OutW)

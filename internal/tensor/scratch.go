@@ -2,10 +2,11 @@ package tensor
 
 import "sync"
 
-// Scratch arena: size-class-bucketed sync.Pools of float32 storage. The
-// convolution and dense layers in internal/nn borrow their im2col and
-// gradient scratch here instead of allocating a fresh tensor per call, so
-// steady-state inference runs allocation-free in the compute core.
+// Scratch arena: size-class-bucketed sync.Pools of float32 storage, plus a
+// uint64 sibling for packed bit planes. The convolution and dense layers
+// in internal/nn borrow their im2col, gradient and bit-plane scratch here
+// instead of allocating a fresh buffer per call, so steady-state inference
+// runs allocation-free in the compute core.
 //
 // Ownership rule: whoever Borrows a tensor owns it until it either calls
 // Release or hands the tensor to an owner with a longer lifetime (e.g.
@@ -19,7 +20,35 @@ const (
 	maxScratchBits = 24 // largest pooled class: 16M floats (64 MiB)
 )
 
-var scratchPools [maxScratchBits - minScratchBits + 1]sync.Pool
+// arena is one power-of-two size-class pool per pooled length.
+type arena[T any] [maxScratchBits - minScratchBits + 1]sync.Pool
+
+var (
+	floatArena arena[float32]
+	wordArena  arena[uint64]
+)
+
+// borrow returns a slice of length n with unspecified contents. Lengths
+// outside the pooled size classes fall back to make.
+func (a *arena[T]) borrow(n int) []T {
+	c := scratchClass(n)
+	if c < 0 {
+		return make([]T, n)
+	}
+	if p, _ := a[c].Get().(*[]T); p != nil {
+		return (*p)[:n]
+	}
+	return make([]T, 1<<(minScratchBits+c))[:n]
+}
+
+// release returns s's storage to its class; storage whose capacity is not
+// exactly a class size is dropped.
+func (a *arena[T]) release(s []T) {
+	d := s[:cap(s)]
+	if c := scratchClass(len(d)); c >= 0 && len(d) == 1<<(minScratchBits+c) {
+		a[c].Put(&d)
+	}
+}
 
 // scratchClass returns the pool index whose class size (1<<bits) is the
 // smallest holding n, or -1 when n is outside the pooled range.
@@ -47,16 +76,12 @@ func Borrow(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	c := scratchClass(n)
-	if c < 0 {
+	if scratchClass(n) < 0 {
 		return New(shape...)
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
-	if p, _ := scratchPools[c].Get().(*[]float32); p != nil {
-		return &Tensor{shape: s, data: (*p)[:n]}
-	}
-	return &Tensor{shape: s, data: make([]float32, 1<<(minScratchBits+c))[:n]}
+	return &Tensor{shape: s, data: floatArena.borrow(n)}
 }
 
 // Release returns a borrowed tensor's storage to the arena. The caller must
@@ -67,12 +92,15 @@ func Release(t *Tensor) {
 	if t == nil {
 		return
 	}
-	d := t.data[:cap(t.data)]
+	d := t.data
 	t.data, t.shape = nil, nil
-	for c := range scratchPools {
-		if len(d) == 1<<(minScratchBits+c) {
-			scratchPools[c].Put(&d)
-			return
-		}
-	}
+	floatArena.release(d)
 }
+
+// BorrowWords returns a uint64 scratch slice of length n with unspecified
+// contents, the storage of packed bit planes.
+func BorrowWords(n int) []uint64 { return wordArena.borrow(n) }
+
+// ReleaseWords returns a slice obtained from BorrowWords to the arena. The
+// caller must not use s afterwards.
+func ReleaseWords(s []uint64) { wordArena.release(s) }
