@@ -49,10 +49,13 @@ func evictOrder(streams []StreamSpec, idx []int) {
 // per-tenant share cap is set, while the stream's tenant stays within
 // its share. Rejected streams are throttled for the epoch — their frames
 // drop with the exclusive cause tenant-throttled. Because the walk is in
-// priority order, pressure always sheds the lowest classes first.
-func admit(ordered []StreamSpec, clusterCap, tenantShare float64) (admitted, throttled []StreamSpec) {
+// priority order, pressure always sheds the lowest classes first. The
+// returned slices are the scratch's buffers, reused every epoch.
+func (sc *epochScratch) admit(ordered []StreamSpec, clusterCap, tenantShare float64) (admitted, throttled []StreamSpec) {
+	admitted, throttled = sc.admitted[:0], sc.throttled[:0]
+	perTenant := sc.perTenant
+	clear(perTenant)
 	total := 0.0
-	perTenant := make(map[string]float64)
 	limit := clusterCap
 	tenantLimit := 0.0
 	if tenantShare > 0 {
@@ -71,6 +74,7 @@ func admit(ordered []StreamSpec, clusterCap, tenantShare float64) (admitted, thr
 		perTenant[s.Tenant] += s.Rate
 		admitted = append(admitted, s)
 	}
+	sc.admitted, sc.throttled = admitted, throttled
 	return admitted, throttled
 }
 

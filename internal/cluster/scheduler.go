@@ -197,6 +197,10 @@ type epochScratch struct {
 	blackout map[string]bool
 	results  []*edge.Result
 	loads    [][]edge.Load
+
+	// admit's buffers.
+	admitted, throttled []StreamSpec
+	perTenant           map[string]float64
 }
 
 // reset sizes the scratch for n pools (first epoch) and clears every
@@ -212,6 +216,7 @@ func (sc *epochScratch) reset(n int) {
 		sc.loads = make([][]edge.Load, n)
 		sc.kept = make(map[string]int)
 		sc.blackout = make(map[string]bool)
+		sc.perTenant = make(map[string]float64)
 	}
 	for i := 0; i < n; i++ {
 		sc.load[i] = 0
@@ -383,7 +388,7 @@ func (s *Scheduler) placeEpoch(e int, assigned map[string]int) *epochPlan {
 		clusterCap += caps[i]
 	}
 
-	admitted, throttled := admit(s.ordered, clusterCap, s.cfg.TenantShare)
+	admitted, throttled := s.scr.admit(s.ordered, clusterCap, s.cfg.TenantShare)
 
 	// Sticky pass: a stream stays on its pool while the pool is neither
 	// quorum-degraded nor over-committed against its rescored capacity.

@@ -63,11 +63,12 @@ func (c *ReconfController) selectEntry(incomingFPS float64) int {
 func (c *ReconfController) React(now, incomingFPS float64) (Serving, time.Duration, bool, bool) {
 	idx := c.selectEntry(incomingFPS)
 	e := c.lib.Entries[idx]
+	pw := c.lib.Power(idx, false)
 	s := Serving{
-		FPS:       e.FixedFPS,
+		FPS:       pw.Cap,
 		Accuracy:  e.Accuracy,
-		PowerAt:   e.Fixed.PowerAt,
-		IdlePower: e.Fixed.IdlePower(),
+		PowerAt:   pw.At,
+		IdlePower: pw.Idle,
 		Label:     fmt.Sprintf("reconf p=%.0f%%", e.NominalRate*100),
 	}
 	if c.have && idx == c.cur {

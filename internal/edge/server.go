@@ -423,12 +423,12 @@ type StaticController struct {
 // NewStaticFINN builds the baseline controller from a library's unpruned
 // entry.
 func NewStaticFINN(lib *library.Library) *StaticController {
-	e := lib.Entries[0]
+	pw := lib.Power(0, false)
 	return &StaticController{S: Serving{
-		FPS:       e.FixedFPS,
-		Accuracy:  e.Accuracy,
-		PowerAt:   e.Fixed.PowerAt,
-		IdlePower: e.Fixed.IdlePower(),
+		FPS:       pw.Cap,
+		Accuracy:  lib.Entries[0].Accuracy,
+		PowerAt:   pw.At,
+		IdlePower: pw.Idle,
 		Label:     "FINN " + lib.ModelName,
 	}}
 }
@@ -488,16 +488,12 @@ func (c *AdaFlowController) React(now, incomingFPS float64) (Serving, time.Durat
 	d, changed := c.mgr.Decide(now, incomingFPS)
 	lib := c.mgr.Library()
 	e := lib.Entries[d.Entry]
-	s := Serving{Accuracy: e.Accuracy}
-	if d.Kind == manager.Flexible {
-		s.FPS = e.FlexFPS
-		s.PowerAt = powerAtChannels(lib, e)
-		s.IdlePower = lib.Flexible.IdlePower()
+	flex := d.Kind == manager.Flexible
+	pw := lib.Power(d.Entry, flex)
+	s := Serving{FPS: pw.Cap, Accuracy: e.Accuracy, PowerAt: pw.At, IdlePower: pw.Idle}
+	if flex {
 		s.Label = fmt.Sprintf("flex p=%.0f%%", e.NominalRate*100)
 	} else {
-		s.FPS = e.FixedFPS
-		s.PowerAt = e.Fixed.PowerAt
-		s.IdlePower = e.Fixed.IdlePower()
 		s.Label = fmt.Sprintf("fixed p=%.0f%%", e.NominalRate*100)
 	}
 	if !changed {
@@ -505,33 +501,4 @@ func (c *AdaFlowController) React(now, incomingFPS float64) (Serving, time.Durat
 	}
 	switched := !had || prev.Entry != d.Entry
 	return s, d.SwitchCost, switched, d.Reconfigured
-}
-
-// powerAtChannels returns a power model for the flexible accelerator
-// configured to an entry's channels. The flexible accelerator's energy per
-// inference depends on the loaded model's MACs, which the library
-// generator precomputes per entry (Entry.FlexEnergyPerInfJ) — so the
-// closure is pure and concurrent simulations can query it without touching
-// the shared flexible dataflow. It reproduces synth.Accelerator.PowerAt
-// exactly: idle power plus per-inference energy times the frame rate,
-// clamped to the entry's flexible capacity.
-func powerAtChannels(lib *library.Library, e library.Entry) func(float64) float64 {
-	flex := lib.Flexible
-	idle := flex.IdlePower()
-	eInf := e.FlexEnergyPerInfJ
-	if eInf <= 0 {
-		// Library predates the precomputed column: fall back to the
-		// worst-case (unpruned) energy rather than failing mid-simulation.
-		eInf = flex.EnergyPerInference()
-	}
-	capFPS := e.FlexFPS
-	return func(fps float64) float64 {
-		if fps < 0 {
-			fps = 0
-		}
-		if fps > capFPS {
-			fps = capFPS
-		}
-		return idle + eInf*fps
-	}
 }

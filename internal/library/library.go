@@ -346,6 +346,43 @@ func (l *Library) BaselineAccuracy() float64 { return l.Entries[0].Accuracy }
 // BaselineFPS returns the unpruned fixed accelerator's throughput.
 func (l *Library) BaselineFPS() float64 { return l.Entries[0].FixedFPS }
 
+// Power is the closed-form power model of one serving decision: Idle
+// watts plus EInf joules per inference times the processed frame rate,
+// clamped to [0, Cap]. Its three numbers are fixed for the decision, so
+// serving loops evaluate it per step without re-walking the dataflow.
+type Power struct {
+	Idle float64 // static plus clock-tree watts
+	EInf float64 // dynamic joules per inference
+	Cap  float64 // frame rate at full utilization
+}
+
+// At returns total watts while processing fps frames per second. Rates
+// above Cap are clamped: the pipeline cannot switch faster than full
+// utilization.
+func (p Power) At(fps float64) float64 {
+	if fps < 0 {
+		fps = 0
+	}
+	if fps > p.Cap {
+		fps = p.Cap
+	}
+	return p.Idle + p.EInf*fps
+}
+
+// Power returns the power model of serving entry i on its fixed
+// accelerator, or on the flexible accelerator configured to the entry's
+// channels. The fixed case reproduces synth.Accelerator.PowerAt bit for
+// bit: Generate computes FixedFPS from the same dataflow the accelerator
+// holds. The flexible case reads the precomputed FlexEnergyPerInfJ, so it
+// never reconfigures the shared flexible dataflow.
+func (l *Library) Power(i int, flexible bool) Power {
+	e := l.Entries[i]
+	if flexible {
+		return Power{Idle: l.Flexible.IdlePower(), EInf: e.FlexEnergyPerInfJ, Cap: e.FlexFPS}
+	}
+	return Power{Idle: e.Fixed.IdlePower(), EInf: e.Fixed.EnergyPerInference(), Cap: e.FixedFPS}
+}
+
 // Validate checks library invariants: ascending rates, monotone
 // non-increasing accuracy, non-decreasing fixed FPS, and a flexible
 // accelerator present.
