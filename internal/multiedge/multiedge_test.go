@@ -1,6 +1,7 @@
 package multiedge
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/accuracy"
@@ -207,5 +208,45 @@ func TestChaosPoolInvariants(t *testing.T) {
 			t.Fatalf("seed %d: injector reports %d reconfig failures but no board rolled back",
 				seed, res.Faults.ReconfigFailures)
 		}
+	}
+}
+
+// A one-board pool draws exactly the power AdaFlowController reports for
+// the same decision, on the fixed and on the flexible accelerator alike:
+// a flexible board is charged the flexible accelerator's idle power and
+// per-inference energy, clamped at its own capacity.
+func TestOneBoardPoolPowerMatchesAdaFlow(t *testing.T) {
+	lib := paperLib(t)
+	pool, err := NewSupervisedPool(lib, Config{Boards: 1, Manager: manager.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := manager.New(lib, manager.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ada := edge.NewAdaFlow(mgr)
+
+	low := 0.5 * lib.BaselineFPS()
+	high := 0.9 * lib.Entries[len(lib.Entries)-1].FixedFPS
+	seen := map[bool]bool{}
+	for i, load := range []float64{low, high, low, high, low} {
+		now := float64(i) // switches every second: inside the criteria, so flexible
+		want, _, _, _ := ada.React(now, load)
+		got, _, _, _ := pool.React(now, load)
+		flex := strings.HasPrefix(want.Label, "flex")
+		seen[flex] = true
+		if got.FPS != want.FPS || got.IdlePower != want.IdlePower {
+			t.Fatalf("t=%v %s: pool FPS/idle %v/%v, controller %v/%v",
+				now, want.Label, got.FPS, got.IdlePower, want.FPS, want.IdlePower)
+		}
+		for _, fps := range []float64{0, 0.5 * want.FPS, want.FPS, 2 * want.FPS} {
+			if g, w := got.PowerAt(fps), want.PowerAt(fps); g != w {
+				t.Fatalf("t=%v %s at %v fps: pool %v W, controller %v W", now, want.Label, fps, g, w)
+			}
+		}
+	}
+	if !seen[false] || !seen[true] {
+		t.Fatalf("decisions covered fixed=%v flexible=%v; want both", seen[false], seen[true])
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/edge"
 	"repro/internal/fault"
+	"repro/internal/library"
 	"repro/internal/manager"
 	"repro/internal/obs"
 )
@@ -329,8 +330,8 @@ func TestPoolEffectiveCapacityWeighting(t *testing.T) {
 
 	// Unit check of the weighting itself: a stalled board carries zero
 	// effective capacity, so the aggregate accuracy is the live board's.
-	b0 := &board{fps: 100, accuracy: 0.9, serving: true, state: Healthy, stallUntil: 10}
-	b1 := &board{fps: 100, accuracy: 0.5, serving: true, state: Healthy}
+	b0 := &board{power: library.Power{Cap: 100}, accuracy: 0.9, serving: true, state: Healthy, stallUntil: 10}
+	b1 := &board{power: library.Power{Cap: 100}, accuracy: 0.5, serving: true, state: Healthy}
 	now := 5.0
 	var accW, effSum float64
 	for _, b := range []*board{b0, b1} {
