@@ -46,7 +46,7 @@ test-chaos:
 	$(GO) test -count=1 -run 'Property|Degrade|ReconfigFailed|Backoff|Swap' ./internal/manager/...
 
 # Tracked benchmark baseline: key design-time and substrate benchmarks,
-# recorded to BENCH_PR10.json for regression diffing.
+# recorded to BENCH.json for regression diffing.
 bench:
 	./scripts/bench.sh
 

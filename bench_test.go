@@ -17,6 +17,7 @@ import (
 	"repro/internal/edge"
 	"repro/internal/experiments"
 	"repro/internal/explore"
+	"repro/internal/fault"
 	"repro/internal/finn"
 	"repro/internal/library"
 	"repro/internal/model"
@@ -699,7 +700,7 @@ func BenchmarkRunEdge(b *testing.B) {
 // BenchmarkPoolRun measures the supervised multi-board pool over the full
 // hybrid scenario. The healthy variant runs with no fault rules and is the
 // supervision overhead guard: scripts/verify.sh compares it against the
-// BENCH_PR8.json baseline via benchjson -check, so heartbeats and health
+// BENCH.json baseline via benchjson -check, so heartbeats and health
 // bookkeeping must stay nearly free when no faults fire. The one-dead
 // variant crashes a board mid-run and exercises detection, failover, and
 // capacity redistribution.
@@ -753,7 +754,7 @@ func BenchmarkPoolRun(b *testing.B) {
 // BenchmarkClusterRun measures the fleet scheduler end to end: 1000
 // camera streams sharded across 8 supervised pools for the default 5
 // epochs. The healthy variant is the cluster-control overhead guard —
-// scripts/verify.sh compares it against the BENCH_PR8.json baseline via
+// scripts/verify.sh compares it against the BENCH.json baseline via
 // benchjson -check, so placement, rebalancing, and aggregation must stay
 // cheap relative to the serving work they orchestrate. The one-pool-dead
 // variant crashes all of pool 0's boards mid-run and exercises
@@ -787,6 +788,40 @@ func BenchmarkClusterRun(b *testing.B) {
 		}
 		run(b, plan, []int{0})
 	})
+}
+
+// BenchmarkFaultInjector measures the fault layer over one fluid run's
+// worth of queries: NewInjector, then a sensor observation and the
+// drift draws (DriftSpan, SustainedSpan) at every 10 ms step of a 25 s
+// scenario. The none variant is the fault-free injector every pool epoch
+// builds; it seeds no stream, so it allocates only the Injector. The
+// chaos variant seeds the streams of its four rule kinds.
+func BenchmarkFaultInjector(b *testing.B) {
+	const step, steps = 0.01, 2500
+	chaos, err := fault.ParsePlan("sensor-dropout:p=0.05;sensor-spike:p=0.2;accuracy-drift:p=0.1,start=5,end=15;drift-sustained:p=1,start=10,mag=-0.1,slope=0.02")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		plan *fault.Plan
+	}{{"none", nil}, {"chaos", chaos}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in, err := fault.NewInjector(bc.plan, int64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 1; j <= steps; j++ {
+					now := float64(j) * step
+					in.Observe(now, 100)
+					in.DriftSpan(now-step, now)
+					in.SustainedSpan(now-step, now)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkDESKernel measures raw event throughput of the simulation

@@ -1,12 +1,12 @@
 // Command benchjson converts `go test -bench` text output into a stable
 // JSON map of benchmark name -> metrics, so benchmark baselines can be
-// committed and diffed (scripts/bench.sh uses it to write BENCH_PR3.json).
+// committed and diffed (scripts/bench.sh uses it to write BENCH.json).
 //
 // Usage:
 //
 //	go test -bench=. -benchmem ./... | benchjson [-o out.json]
 //	benchjson [-o out.json] bench-output.txt
-//	benchjson -check -baseline BENCH_PR3.json [-tol 0.25] bench-output.txt
+//	benchjson -check -baseline BENCH.json [-tol 0.25] bench-output.txt
 //	benchjson -compare BENCH_PR7.json BENCH_PR8.json
 //
 // Standard columns (ns/op, B/op, allocs/op) and custom b.ReportMetric

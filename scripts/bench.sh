@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tracked benchmark baseline: runs the key design-time and substrate
-# benchmarks and writes their numbers to BENCH_PR10.json via cmd/benchjson.
+# benchmarks and writes their numbers to BENCH.json via cmd/benchjson.
 # Run from the repository root (or via `make bench`).
 #
 # Environment overrides:
-#   BENCH_OUT      output JSON path        (default BENCH_PR10.json)
+#   BENCH_OUT      output JSON path        (default BENCH.json)
 #   BENCH_PATTERN  -bench regexp           (default: the tracked set below)
 #   BENCH_TIME     -benchtime              (default 1s)
 #   BENCH_COUNT    -count                  (default 1)
@@ -13,8 +13,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH_OUT=${BENCH_OUT:-BENCH_PR10.json}
-BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkLibraryGenerate|BenchmarkExploreTargetFPS|BenchmarkGemm$|BenchmarkConvForward$|BenchmarkCNVLayer|BenchmarkDESKernel|BenchmarkRunEdge$|BenchmarkPoolRun|BenchmarkClusterRun'}
+BENCH_OUT=${BENCH_OUT:-BENCH.json}
+BENCH_PATTERN=${BENCH_PATTERN:-'BenchmarkLibraryGenerate|BenchmarkExploreTargetFPS|BenchmarkGemm$|BenchmarkConvForward$|BenchmarkCNVLayer|BenchmarkDESKernel|BenchmarkRunEdge$|BenchmarkPoolRun|BenchmarkClusterRun|BenchmarkFaultInjector'}
 BENCH_TIME=${BENCH_TIME:-1s}
 BENCH_COUNT=${BENCH_COUNT:-1}
 BENCH_NOTE=${BENCH_NOTE:-'measured on a 2-core shared VM: other tenants steal CPU, so ns/op moves by tens of percent between runs and worker-pool speedups stay small; benchjson -check gates ns/op loosely (-tol) and allocs/op, B/op within 5%, the stable signal'}

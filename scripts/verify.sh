@@ -56,28 +56,29 @@ BENCH_OUT="$bench_out" BENCH_TIME=1x BENCH_PATTERN='BenchmarkDESKernel' ./script
 grep -q 'BenchmarkDESKernel' "$bench_out"
 rm -f "$bench_out"
 
-echo "== overhead guards (BenchmarkRunEdge + BenchmarkPoolRun + BenchmarkClusterRun + BenchmarkDESKernel + BenchmarkLibraryGenerate/serial vs BENCH_PR10.json)"
+echo "== overhead guards (BenchmarkRunEdge + BenchmarkPoolRun + BenchmarkClusterRun + BenchmarkDESKernel + BenchmarkFaultInjector + BenchmarkLibraryGenerate/serial vs BENCH.json)"
 # Tracing off must stay free on the serving hot path, pool supervision
 # must stay cheap on the healthy path (<2% claims, measured back to back
 # in DESIGN.md), adaptation must stay free when disabled (the fluid
 # variant IS the disabled-adapt path), the calendar-queue DES kernel
-# must not regress toward the old heap numbers, and library generation
-# must stay shape-first (no weight copies for the calibrated evaluator).
+# must not regress toward the old heap numbers, a fault-free injector
+# must seed no RNG stream, and library generation must stay shape-first
+# (no weight copies for the calibrated evaluator).
 # The committed baseline was measured on one machine and this guard may
 # run on another, so the ns/op tolerance is generous (25%); allocs/op and
 # B/op are gated at 5% (benchjson -check). Skips cleanly if the baseline
 # lacks the benchmarks.
-if grep -q 'BenchmarkRunEdge\|BenchmarkPoolRun' BENCH_PR10.json; then
+if grep -q 'BenchmarkRunEdge\|BenchmarkPoolRun' BENCH.json; then
 	overhead_out=$(mktemp)
 	# -count 3: benchjson keeps the fastest of repeats, damping the
 	# heavy scheduler noise of small containers. The library benchmark
 	# runs on its own: a '/' in a -bench pattern splits it per level.
-	go test -run '^$' -bench 'BenchmarkRunEdge$|BenchmarkPoolRun|BenchmarkClusterRun|BenchmarkDESKernel' -benchtime 0.5s -count 3 . | tee "$overhead_out"
+	go test -run '^$' -bench 'BenchmarkRunEdge$|BenchmarkPoolRun|BenchmarkClusterRun|BenchmarkDESKernel|BenchmarkFaultInjector' -benchtime 0.5s -count 3 . | tee "$overhead_out"
 	go test -run '^$' -bench 'BenchmarkLibraryGenerate/serial$' -benchtime 0.5s -count 3 . | tee -a "$overhead_out"
-	go run ./cmd/benchjson -check -baseline BENCH_PR10.json -tol 0.25 "$overhead_out"
+	go run ./cmd/benchjson -check -baseline BENCH.json -tol 0.25 "$overhead_out"
 	rm -f "$overhead_out"
 else
-	echo "BENCH_PR10.json has no BenchmarkRunEdge/BenchmarkPoolRun entry; skipping"
+	echo "BENCH.json has no BenchmarkRunEdge/BenchmarkPoolRun entry; skipping"
 fi
 
 echo "verify: OK"
