@@ -129,18 +129,15 @@ func Fig5bc(dataset string) (*Fig5bcResult, error) {
 	}
 	res := &Fig5bcResult{Pair: pair, PaperFixedRed25: 1.64, PaperFlexRed25: 1.38}
 
-	// Flexible energy per point: the library precomputes each entry's
-	// per-inference dynamic energy (flexible resources — and so idle power —
-	// are worst-case and don't vary with the loaded channels), so the
-	// total-energy figure follows without reconfiguring the shared flexible
-	// dataflow. Matches synth.Accelerator.TotalEnergyPerInference at the
-	// entry's channels exactly: (idle + E_inf·fps) / fps.
-	flexIdle := lib.Flexible.IdlePower()
+	// Flexible energy per point comes from the entry's closed-form power
+	// model, so the figure never reconfigures the shared flexible dataflow.
+	// It matches synth.Accelerator.TotalEnergyPerInference at the entry's
+	// channels exactly: power at full utilization over the frame rate.
 	baseE := lib.Baseline.TotalEnergyPerInference()
-	for _, e := range lib.Entries {
+	for i, e := range lib.Entries {
 		var flexE float64
 		if e.FlexFPS > 0 {
-			flexE = (flexIdle + e.FlexEnergyPerInfJ*e.FlexFPS) / e.FlexFPS
+			flexE = lib.Power(i, true).At(e.FlexFPS) / e.FlexFPS
 		}
 		pt := Fig5bcPoint{
 			NominalRate:  e.NominalRate,
