@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race test-race test-chaos trace-golden bench bench-all verify
+.PHONY: all build test test-race test-chaos trace-golden bench bench-all verify
 
 all: build
 
@@ -9,11 +9,6 @@ build:
 
 test:
 	$(GO) test ./...
-
-# Race-detector pass over the packages that exercise the tensor worker
-# pool concurrently.
-race:
-	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/train/...
 
 # Race-detector pass over the serving stack and the parallel design-time
 # pipeline (library sweep, memoized explorer, experiment harness) on top

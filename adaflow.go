@@ -200,22 +200,6 @@ func ParseScenario(spec string) (Scenario, error) { return edge.ParseScenario(sp
 // "multicam").
 func NamedScenarios() map[string]string { return edge.NamedScenarios() }
 
-// Scenario1 is the paper's stable workload (±30 % every 5 s).
-//
-// Deprecated: use ParseScenario("paper1"); the constructors remain as
-// thin wrappers over the named specs.
-func Scenario1() Scenario { return edge.Scenario1() }
-
-// Scenario2 is the unpredictable workload (±70 % every 500 ms).
-//
-// Deprecated: use ParseScenario("paper2").
-func Scenario2() Scenario { return edge.Scenario2() }
-
-// Scenario12 is the hybrid workload (stable, then unpredictable at 15 s).
-//
-// Deprecated: use ParseScenario("paper12").
-func Scenario12() Scenario { return edge.Scenario12() }
-
 // NewAdaFlowController serves with the Runtime Manager.
 func NewAdaFlowController(mgr *RuntimeManager) Controller { return edge.NewAdaFlow(mgr) }
 

@@ -14,6 +14,16 @@ import (
 	"repro/internal/tensor"
 )
 
+// scenario parses a registered scenario name through the facade.
+func scenario(t testing.TB, name string) Scenario {
+	t.Helper()
+	s, err := ParseScenario(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestFacadeEndToEnd drives the whole public API with a tiny model: build,
 // library generation with a trained evaluator, runtime management, edge
 // simulation, and model serialization.
@@ -37,7 +47,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunEdge(Scenario1(), NewAdaFlowController(mgr), SimConfig{Seed: 1})
+	res, err := RunEdge(scenario(t, "paper1"), NewAdaFlowController(mgr), SimConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +102,7 @@ func TestRunEdgeTracingIsPassive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunEdge(Scenario2(), NewAdaFlowController(mgr), SimConfig{Seed: 7}, opts...)
+		res, err := RunEdge(scenario(t, "paper2"), NewAdaFlowController(mgr), SimConfig{Seed: 7}, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,14 +155,14 @@ func TestRunEdgeRepeatedAll(t *testing.T) {
 		}
 		return NewAdaFlowController(mgr), nil
 	}
-	mean, runs, err := RunEdgeRepeatedAll(Scenario1(), mk, 3, 11, SimConfig{})
+	mean, runs, err := RunEdgeRepeatedAll(scenario(t, "paper1"), mk, 3, 11, SimConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 3 {
 		t.Fatalf("per-run stats = %d, want 3", len(runs))
 	}
-	meanOnly, err := RunEdgeRepeated(Scenario1(), mk, 3, 11, SimConfig{})
+	meanOnly, err := RunEdgeRepeated(scenario(t, "paper1"), mk, 3, 11, SimConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +201,7 @@ func TestFacadePaperHelpers(t *testing.T) {
 	if n := len(PaperPruningRates()); n != 18 {
 		t.Fatalf("paper rates = %d", n)
 	}
-	if Scenario12().Duration != 25 {
+	if scenario(t, "paper12").Duration != 25 {
 		t.Fatal("scenario duration")
 	}
 	if _, err := NewCalibratedEvaluator("CNVW2A2", "cifar10"); err != nil {

@@ -627,7 +627,7 @@ func BenchmarkEdgeScenarioRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := edge.Run(edge.Scenario2(), edge.NewStaticFINN(lib), edge.SimConfig{Seed: int64(i)}); err != nil {
+		if _, err := edge.Run(scenario(b, "paper2"), edge.NewStaticFINN(lib), edge.SimConfig{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -663,7 +663,7 @@ func BenchmarkRunEdge(b *testing.B) {
 	b.Run("fluid", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunEdge(Scenario2(), newCtl(b), SimConfig{Seed: int64(i)}); err != nil {
+			if _, err := RunEdge(scenario(b, "paper2"), newCtl(b), SimConfig{Seed: int64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -672,7 +672,7 @@ func BenchmarkRunEdge(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunEdgeEventLevel(Scenario2(), newCtl(b), SimConfig{
+				if _, err := RunEdgeEventLevel(scenario(b, "paper2"), newCtl(b), SimConfig{
 					Seed: int64(i), AdmissionConfig: edge.AdmissionConfig{Deadline: 0.1}, BatchConfig: edge.BatchConfig{Size: batch},
 				}); err != nil {
 					b.Fatal(err)
@@ -687,7 +687,7 @@ func BenchmarkRunEdge(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := RunEdge(Scenario2(), newCtl(b), SimConfig{
+			if _, err := RunEdge(scenario(b, "paper2"), newCtl(b), SimConfig{
 				Seed: int64(i), FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1},
 				Adapt: AdaptConfig{Enabled: true},
 			}); err != nil {
@@ -713,11 +713,11 @@ func BenchmarkPoolRun(b *testing.B) {
 	run := func(b *testing.B, plan *FaultPlan) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pool, err := NewPool(lib, 4, DefaultManagerConfig())
+			pool, err := NewSupervisedPool(lib, PoolConfig{Boards: 4, Manager: DefaultManagerConfig()})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := RunEdge(Scenario12(), pool, SimConfig{
+			if _, err := RunEdge(scenario(b, "paper12"), pool, SimConfig{
 				Seed: int64(i), FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1},
 			}); err != nil {
 				b.Fatal(err)
@@ -744,7 +744,7 @@ func BenchmarkPoolRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := RunEdge(Scenario12(), pool, SimConfig{Seed: int64(i)}); err != nil {
+			if _, err := RunEdge(scenario(b, "paper12"), pool, SimConfig{Seed: int64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -825,32 +825,27 @@ func BenchmarkFaultInjector(b *testing.B) {
 }
 
 // BenchmarkDESKernel measures raw event throughput of the simulation
-// kernel on both queue implementations. The closure is hoisted out of the
-// schedule loop so allocs/op reflects the engine (event storage, queue
-// bookkeeping), not benchmark-side closure captures; with slab-allocated
-// events and the calendar queue the steady state is a few allocs per
-// thousand events instead of one per event.
+// kernel. The closure is hoisted out of the schedule loop so allocs/op
+// reflects the engine (event storage, queue bookkeeping), not
+// benchmark-side closure captures; with slab-allocated events and the
+// calendar queue the steady state is a few allocs per thousand events
+// instead of one per event.
 func BenchmarkDESKernel(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		kind sim.QueueKind
-	}{{"calendar", sim.CalendarQueue}, {"heap", sim.HeapQueue}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := sim.NewEngineWithQueue(bc.kind)
-				n := 0
-				fn := func() { n++ }
-				for j := 0; j < 1000; j++ {
-					if err := e.Schedule(float64(j), fn); err != nil {
-						b.Fatal(err)
-					}
-				}
-				e.Run(2000)
-				if n != 1000 {
-					b.Fatal("events lost")
+	b.Run("calendar", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := sim.NewEngine()
+			n := 0
+			fn := func() { n++ }
+			for j := 0; j < 1000; j++ {
+				if err := e.Schedule(float64(j), fn); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
+			e.Run(2000)
+			if n != 1000 {
+				b.Fatal("events lost")
+			}
+		}
+	})
 }

@@ -25,8 +25,8 @@
 //	-scenario "diurnal:period=60,amp=0.4 | burst:at=15,x=3,len=2 | tail:pareto,alpha=1.5"
 //	-scenario "replay:file=trace.jsonl"
 //
-// The historical short names 1, 2, and 1+2/12 still select the paper
-// scenarios. See DESIGN.md "Workload grammar" for every primitive.
+// The default is "paper2". See DESIGN.md "Workload grammar" for every
+// primitive.
 //
 // -policy selects the manager's accelerator-family rule: "interval" (the
 // paper's switch-interval criterion, default) or "rate" (size the serving
@@ -99,7 +99,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("adaflow-sim: ")
-	scenario := flag.String("scenario", "2", `workload spec: a named scenario ("paper1", "diurnal", ...), a grammar spec ("stable | burst:at=10,x=3"), or the legacy short names 1, 2, 1+2`)
+	scenario := flag.String("scenario", "paper2", `workload spec: a named scenario ("paper1", "diurnal", ...) or a grammar spec ("stable | burst:at=10,x=3")`)
 	controller := flag.String("controller", "adaflow", "adaflow, finn, reconf, pool, or cluster")
 	policy := flag.String("policy", "interval", `accelerator-family rule: "interval" (paper) or "rate" (sustained-rate aware)`)
 	modelName := flag.String("model", "CNVW2A2", "CNVW2A2 or CNVW1A2")
@@ -154,18 +154,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The legacy short names map onto the named specs; anything else goes
-	// through the workload grammar (named scenarios included).
-	spec := *scenario
-	switch spec {
-	case "1":
-		spec = "paper1"
-	case "2":
-		spec = "paper2"
-	case "1+2", "12":
-		spec = "paper12"
-	}
-	scn, err := edge.ParseScenario(spec)
+	scn, err := edge.ParseScenario(*scenario)
 	if err != nil {
 		log.Fatal(err)
 	}

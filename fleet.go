@@ -11,7 +11,8 @@ package adaflow
 //	cfg := adaflow.SimConfig{Seed: 1}
 //	cfg.FaultConfig.Plan, cfg.FaultConfig.Seed = plan, 1
 //	cfg.AdmissionConfig.Deadline = 0.05
-//	res, _ := adaflow.RunEdge(adaflow.Scenario12(), pool, cfg)
+//	scn, _ := adaflow.ParseScenario("paper12")
+//	res, _ := adaflow.RunEdge(scn, pool, cfg)
 //	fmt.Println(res.Pool.Failovers, res.Drops.Total())
 
 import (
@@ -47,7 +48,8 @@ type (
 	//	plan, _ := adaflow.ParseFaultPlan("drift-sustained:p=1,start=5,mag=-0.15")
 	//	cfg := adaflow.SimConfig{Seed: 1, Adapt: adaflow.AdaptConfig{Enabled: true}}
 	//	cfg.FaultConfig.Plan, cfg.FaultConfig.Seed = plan, 1
-	//	res, _ := adaflow.RunEdge(adaflow.Scenario2(), ctl, cfg)
+	//	scn, _ := adaflow.ParseScenario("paper2")
+	//	res, _ := adaflow.RunEdge(scn, ctl, cfg)
 	//	fmt.Println(res.Adapt.Swaps, res.Adapt.RecoveredPoints)
 	AdaptConfig = adapt.Config
 	// AdaptStats counts the adaptation loop's actions for a run
@@ -71,13 +73,6 @@ type (
 // returned Pool is a Controller for RunEdge.
 func NewSupervisedPool(lib *Library, cfg PoolConfig) (*Pool, error) {
 	return multiedge.NewSupervisedPool(lib, cfg)
-}
-
-// NewPool builds a pool of n serving boards with default supervision —
-// the historical constructor; without board-level fault rules it behaves
-// as the plain capacity splitter.
-func NewPool(lib *Library, n int, cfg ManagerConfig) (*Pool, error) {
-	return multiedge.NewPool(lib, n, cfg)
 }
 
 // ParseFaultPlan parses the fault-plan grammar used by adaflow-sim's

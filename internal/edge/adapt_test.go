@@ -49,10 +49,10 @@ func TestAdaptChaosAcceptance(t *testing.T) {
 		run  func(ctl Controller, cfg SimConfig) (*Result, error)
 	}{
 		{"fluid", func(ctl Controller, cfg SimConfig) (*Result, error) {
-			return Run(Scenario2(), ctl, cfg)
+			return Run(scenario(t, "paper2"), ctl, cfg)
 		}},
 		{"event-level", func(ctl Controller, cfg SimConfig) (*Result, error) {
-			return RunEventLevel(Scenario2(), ctl, cfg)
+			return RunEventLevel(scenario(t, "paper2"), ctl, cfg)
 		}},
 	}
 	for _, mode := range modes {
@@ -124,7 +124,7 @@ func TestAdaptReplayAcrossWorkers(t *testing.T) {
 	const n, seed = 6, 3
 
 	prev := SetMaxParallelRuns(1)
-	serialMean, serialRuns, err := RunRepeated(Scenario2(), mk, n, seed, cfg)
+	serialMean, serialRuns, err := RunRepeated(scenario(t, "paper2"), mk, n, seed, cfg)
 	SetMaxParallelRuns(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestAdaptReplayAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{2, 0} { // 0 resets to NumCPU
 		old := SetMaxParallelRuns(workers)
-		mean, runs, err := RunRepeated(Scenario2(), mk, n, seed, cfg)
+		mean, runs, err := RunRepeated(scenario(t, "paper2"), mk, n, seed, cfg)
 		SetMaxParallelRuns(old)
 		if err != nil {
 			t.Fatal(err)
@@ -160,14 +160,14 @@ func TestDriftBoundaryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fluid, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: sub, Seed: 1}})
+	fluid, err := Run(scenario(t, "paper2"), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: sub, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fluid.RunStats.Faults.AccuracyDrifts == 0 {
 		t.Error("fluid mode stepped over the sub-step window")
 	}
-	event, err := RunEventLevel(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: sub, Seed: 1}})
+	event, err := RunEventLevel(scenario(t, "paper2"), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: sub, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDriftBoundaryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: aligned, Seed: 1}})
+	res, err := Run(scenario(t, "paper2"), adaflow(t, lib), SimConfig{Seed: 1, FaultConfig: FaultConfig{Plan: aligned, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestAdaptAcrossManagerRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *Result {
-		res, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1,
+		res, err := Run(scenario(t, "paper2"), adaflow(t, lib), SimConfig{Seed: 1,
 			FaultConfig: FaultConfig{Plan: plan, Seed: 1}, Adapt: adapt.Config{Enabled: true}})
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +237,7 @@ func TestGoldenAdaptTrace(t *testing.T) {
 	tr := obs.New(obs.Filter(sink, func(ev obs.Event) bool {
 		return ev.Cat == obs.AdaptCat
 	}))
-	_, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 1,
+	_, err := Run(scenario(t, "paper2"), adaflow(t, lib), SimConfig{Seed: 1,
 		FaultConfig: FaultConfig{Plan: sustainedPlan(t), Seed: 1},
 		Adapt:       adapt.Config{Enabled: true}}, WithTracer(tr))
 	if err != nil {
@@ -268,12 +268,12 @@ func TestGoldenAdaptTrace(t *testing.T) {
 // silent no-op.
 func TestAdaptRequiresSwappableController(t *testing.T) {
 	lib := paperLib(t)
-	_, err := Run(Scenario2(), NewStaticFINN(lib), SimConfig{Seed: 1,
+	_, err := Run(scenario(t, "paper2"), NewStaticFINN(lib), SimConfig{Seed: 1,
 		Adapt: adapt.Config{Enabled: true}})
 	if err == nil {
 		t.Fatal("static controller accepted an adaptive run")
 	}
-	if _, err := RunEventLevel(Scenario2(), NewStaticFINN(lib), SimConfig{Seed: 1,
+	if _, err := RunEventLevel(scenario(t, "paper2"), NewStaticFINN(lib), SimConfig{Seed: 1,
 		Adapt: adapt.Config{Enabled: true}}); err == nil {
 		t.Fatal("static controller accepted an adaptive event-level run")
 	}

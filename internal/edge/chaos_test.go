@@ -14,7 +14,7 @@ import (
 func TestChaosBitIdenticalReplay(t *testing.T) {
 	lib := paperLib(t)
 	run := func() *Result {
-		res, err := Run(Scenario12(), adaflow(t, lib), SimConfig{
+		res, err := Run(scenario(t, "paper12"), adaflow(t, lib), SimConfig{
 			Seed:        3,
 			RecordTrace: true,
 			FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11},
@@ -34,7 +34,7 @@ func TestChaosBitIdenticalReplay(t *testing.T) {
 
 	// A different fault seed must change the draws (otherwise the seed is
 	// dead and the matrix in make test-chaos is one run repeated).
-	c, err := Run(Scenario12(), adaflow(t, lib), SimConfig{
+	c, err := Run(scenario(t, "paper12"), adaflow(t, lib), SimConfig{
 		Seed: 3, RecordTrace: true, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 12},
 	})
 	if err != nil {
@@ -126,12 +126,12 @@ func TestChaosInvariantsSeedMatrix(t *testing.T) {
 	for _, seed := range []int64{1, 2, 5} {
 		for _, fseed := range []int64{1, 9} {
 			cfg := SimConfig{Seed: seed, FaultConfig: FaultConfig{Seed: fseed, Plan: plan}, RecordTrace: true}
-			res, err := Run(Scenario2(), adaflow(t, lib), cfg)
+			res, err := Run(scenario(t, "paper2"), adaflow(t, lib), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkEnvelope(t, seed, fseed, res)
-			ev, err := RunEventLevel(Scenario2(), adaflow(t, lib), cfg)
+			ev, err := RunEventLevel(scenario(t, "paper2"), adaflow(t, lib), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,9 +23,9 @@ func TestGoldenDecisionTraces(t *testing.T) {
 		file string
 		scn  Scenario
 	}{
-		{file: "decisions_scenario1.golden", scn: Scenario1()},
-		{file: "decisions_scenario2.golden", scn: Scenario2()},
-		{file: "decisions_scenario12.golden", scn: Scenario12()},
+		{file: "decisions_scenario1.golden", scn: scenario(t, "paper1")},
+		{file: "decisions_scenario2.golden", scn: scenario(t, "paper2")},
+		{file: "decisions_scenario12.golden", scn: scenario(t, "paper12")},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -127,10 +127,10 @@ func TestTracingBitIdentical(t *testing.T) {
 		run  func(ctl Controller, opts ...RunOption) (*Result, error)
 	}{
 		{"fluid", func(ctl Controller, opts ...RunOption) (*Result, error) {
-			return Run(Scenario12(), ctl, SimConfig{Seed: 3, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 7}}, opts...)
+			return Run(scenario(t, "paper12"), ctl, SimConfig{Seed: 3, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 7}}, opts...)
 		}},
 		{"event-level", func(ctl Controller, opts ...RunOption) (*Result, error) {
-			return RunEventLevel(Scenario12(), ctl, SimConfig{Seed: 3, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 7}}, opts...)
+			return RunEventLevel(scenario(t, "paper12"), ctl, SimConfig{Seed: 3, FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 7}}, opts...)
 		}},
 	}
 	for _, mode := range modes {
@@ -171,14 +171,14 @@ func TestRunRepeatedTraced(t *testing.T) {
 		return ctl, nil
 	}
 	const n = 4
-	mean, _, err := RunRepeated(Scenario1(), mk, n, 5, SimConfig{})
+	mean, _, err := RunRepeated(scenario(t, "paper1"), mk, n, 5, SimConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := obs.NewSnapshot()
 	ring := obs.NewRing(4096)
 	tr := obs.New(obs.Multi(snap, ring), obs.Sample(1000))
-	meanTraced, _, err := RunRepeated(Scenario1(), mk, n, 5, SimConfig{}, WithTracer(tr))
+	meanTraced, _, err := RunRepeated(scenario(t, "paper1"), mk, n, 5, SimConfig{}, WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

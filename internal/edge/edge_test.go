@@ -29,6 +29,16 @@ func paperLib(t testing.TB) *library.Library {
 	return lib
 }
 
+// scenario parses a registered scenario name.
+func scenario(t testing.TB, name string) Scenario {
+	t.Helper()
+	s, err := NamedScenario(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func adaflow(t testing.TB, lib *library.Library) Controller {
 	t.Helper()
 	mgr, err := manager.New(lib, manager.DefaultConfig())
@@ -39,7 +49,7 @@ func adaflow(t testing.TB, lib *library.Library) Controller {
 }
 
 func TestScenarioValidate(t *testing.T) {
-	for _, s := range []Scenario{Scenario1(), Scenario2(), Scenario12()} {
+	for _, s := range []Scenario{scenario(t, "paper1"), scenario(t, "paper2"), scenario(t, "paper12")} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}
@@ -47,12 +57,12 @@ func TestScenarioValidate(t *testing.T) {
 			t.Errorf("%s base rate = %v", s.Name, s.BaseRate())
 		}
 	}
-	bad := Scenario1()
+	bad := scenario(t, "paper1")
 	bad.Phases[0].Start = 1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("phase not starting at 0 accepted")
 	}
-	bad2 := Scenario1()
+	bad2 := scenario(t, "paper1")
 	bad2.Phases[0].Interval = 0
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("zero interval accepted")
@@ -60,7 +70,7 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 func TestWorkloadBounds(t *testing.T) {
-	scn := Scenario2()
+	scn := scenario(t, "paper2")
 	rng := newTestRNG()
 	wl, err := NewWorkload(scn, rng)
 	if err != nil {
@@ -75,7 +85,7 @@ func TestWorkloadBounds(t *testing.T) {
 }
 
 func TestWorkloadNextBoundary(t *testing.T) {
-	scn := Scenario12()
+	scn := scenario(t, "paper12")
 	wl, err := NewWorkload(scn, newTestRNG())
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +105,7 @@ func TestWorkloadNextBoundary(t *testing.T) {
 // so processed + dropped never exceeds arrived.
 func TestFrameConservation(t *testing.T) {
 	lib := paperLib(t)
-	r, err := Run(Scenario2(), NewStaticFINN(lib), SimConfig{Seed: 3})
+	r, err := Run(scenario(t, "paper2"), NewStaticFINN(lib), SimConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestFrameConservation(t *testing.T) {
 // reports ≈23 % frame loss for static FINN.
 func TestBaselineFINNLossNearPaper(t *testing.T) {
 	lib := paperLib(t)
-	mean, _, err := RunRepeated(Scenario1(), func() (Controller, error) {
+	mean, _, err := RunRepeated(scenario(t, "paper1"), func() (Controller, error) {
 		return NewStaticFINN(lib), nil
 	}, 20, 1, SimConfig{})
 	if err != nil {
@@ -132,7 +142,7 @@ func TestBaselineFINNLossNearPaper(t *testing.T) {
 // within the 10 % threshold.
 func TestAdaFlowBeatsFINN(t *testing.T) {
 	lib := paperLib(t)
-	for _, scn := range []Scenario{Scenario1(), Scenario2()} {
+	for _, scn := range []Scenario{scenario(t, "paper1"), scenario(t, "paper2")} {
 		finn, _, err := RunRepeated(scn, func() (Controller, error) {
 			return NewStaticFINN(lib), nil
 		}, 10, 1, SimConfig{})
@@ -171,11 +181,11 @@ func TestAdaFlowBeatsFINN(t *testing.T) {
 func TestScenario1UsesFixedScenario2UsesFlexible(t *testing.T) {
 	lib := paperLib(t)
 
-	r1, err := Run(Scenario1(), adaflow(t, lib), SimConfig{Seed: 7, RecordTrace: true})
+	r1, err := Run(scenario(t, "paper1"), adaflow(t, lib), SimConfig{Seed: 7, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(Scenario2(), adaflow(t, lib), SimConfig{Seed: 7})
+	r2, err := Run(scenario(t, "paper2"), adaflow(t, lib), SimConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +212,13 @@ func TestScenario1UsesFixedScenario2UsesFlexible(t *testing.T) {
 // unpredictable ones (Table I: 1.01 W vs 1.2 W).
 func TestScenario1PowerBelowScenario2(t *testing.T) {
 	lib := paperLib(t)
-	m1, _, err := RunRepeated(Scenario1(), func() (Controller, error) {
+	m1, _, err := RunRepeated(scenario(t, "paper1"), func() (Controller, error) {
 		return adaflow(t, lib), nil
 	}, 10, 3, SimConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := RunRepeated(Scenario2(), func() (Controller, error) {
+	m2, _, err := RunRepeated(scenario(t, "paper2"), func() (Controller, error) {
 		return adaflow(t, lib), nil
 	}, 10, 3, SimConfig{})
 	if err != nil {
@@ -225,7 +235,7 @@ func TestScenario1PowerBelowScenario2(t *testing.T) {
 func TestReconfControllerOrdering(t *testing.T) {
 	lib := paperLib(t)
 	loss := func(rt time.Duration) float64 {
-		mean, _, err := RunRepeated(Scenario2(), func() (Controller, error) {
+		mean, _, err := RunRepeated(scenario(t, "paper2"), func() (Controller, error) {
 			return NewPruningReconf(lib, 0.10, rt)
 		}, 10, 5, SimConfig{})
 		if err != nil {
@@ -239,7 +249,7 @@ func TestReconfControllerOrdering(t *testing.T) {
 	if !(ideal <= mid && mid <= slow) {
 		t.Fatalf("loss not monotone in reconfig time: %v / %v / %v", ideal, mid, slow)
 	}
-	finn, _, err := RunRepeated(Scenario2(), func() (Controller, error) {
+	finn, _, err := RunRepeated(scenario(t, "paper2"), func() (Controller, error) {
 		return NewStaticFINN(lib), nil
 	}, 10, 5, SimConfig{})
 	if err != nil {
@@ -256,10 +266,10 @@ func TestReconfControllerOrdering(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	lib := paperLib(t)
-	if _, err := Run(Scenario1(), nil, SimConfig{}); err == nil {
+	if _, err := Run(scenario(t, "paper1"), nil, SimConfig{}); err == nil {
 		t.Fatal("nil controller accepted")
 	}
-	if _, _, err := RunRepeated(Scenario1(), func() (Controller, error) {
+	if _, _, err := RunRepeated(scenario(t, "paper1"), func() (Controller, error) {
 		return NewStaticFINN(lib), nil
 	}, 0, 1, SimConfig{}); err == nil {
 		t.Fatal("zero runs accepted")
@@ -277,7 +287,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestTraceRecorded(t *testing.T) {
 	lib := paperLib(t)
-	r, err := Run(Scenario12(), adaflow(t, lib), SimConfig{Seed: 2, RecordTrace: true})
+	r, err := Run(scenario(t, "paper12"), adaflow(t, lib), SimConfig{Seed: 2, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +319,11 @@ func TestEventLevelValidatesFluidModel(t *testing.T) {
 		var fluidLoss, eventLoss, fluidQoE, eventQoE float64
 		const n = 5
 		for i := 0; i < n; i++ {
-			f, err := Run(Scenario2(), tc.mk(), SimConfig{Seed: int64(100 + i)})
+			f, err := Run(scenario(t, "paper2"), tc.mk(), SimConfig{Seed: int64(100 + i)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := RunEventLevel(Scenario2(), tc.mk(), SimConfig{Seed: int64(100 + i)})
+			e, err := RunEventLevel(scenario(t, "paper2"), tc.mk(), SimConfig{Seed: int64(100 + i)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +346,7 @@ func TestEventLevelValidatesFluidModel(t *testing.T) {
 // service rate plus service time.
 func TestEventLevelLatencyExact(t *testing.T) {
 	lib := paperLib(t)
-	r, err := RunEventLevel(Scenario1(), NewStaticFINN(lib), SimConfig{Seed: 9})
+	r, err := RunEventLevel(scenario(t, "paper1"), NewStaticFINN(lib), SimConfig{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +364,7 @@ func TestEventLevelLatencyExact(t *testing.T) {
 // or still in flight at the end.
 func TestEventLevelConservation(t *testing.T) {
 	lib := paperLib(t)
-	r, err := RunEventLevel(Scenario2(), NewStaticFINN(lib), SimConfig{Seed: 3})
+	r, err := RunEventLevel(scenario(t, "paper2"), NewStaticFINN(lib), SimConfig{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +383,7 @@ func TestQoEBounds(t *testing.T) {
 			func() Controller { return NewStaticFINN(lib) },
 			func() Controller { return adaflow(t, lib) },
 		} {
-			r, err := Run(Scenario2(), mk(), SimConfig{Seed: seed})
+			r, err := Run(scenario(t, "paper2"), mk(), SimConfig{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -399,7 +409,7 @@ func TestZeroCapacityServing(t *testing.T) {
 		PowerAt:   func(float64) float64 { return 0.5 },
 		IdlePower: 0.5, Label: "dead",
 	}}
-	r, err := Run(Scenario1(), dead, SimConfig{Seed: 1})
+	r, err := Run(scenario(t, "paper1"), dead, SimConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +419,7 @@ func TestZeroCapacityServing(t *testing.T) {
 	if r.Processed != 0 {
 		t.Fatalf("dead server processed %v frames", r.Processed)
 	}
-	re, err := RunEventLevel(Scenario1(), dead, SimConfig{Seed: 1})
+	re, err := RunEventLevel(scenario(t, "paper1"), dead, SimConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,11 +436,11 @@ func TestPoissonArrivalsBurstier(t *testing.T) {
 	var det, poi float64
 	const n = 5
 	for i := 0; i < n; i++ {
-		d, err := RunEventLevel(Scenario1(), NewStaticFINN(lib), SimConfig{Seed: int64(i)})
+		d, err := RunEventLevel(scenario(t, "paper1"), NewStaticFINN(lib), SimConfig{Seed: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := RunEventLevel(Scenario1(), NewStaticFINN(lib), SimConfig{Seed: int64(i), PoissonArrivals: true})
+		p, err := RunEventLevel(scenario(t, "paper1"), NewStaticFINN(lib), SimConfig{Seed: int64(i), PoissonArrivals: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +453,7 @@ func TestPoissonArrivalsBurstier(t *testing.T) {
 }
 
 func TestEventLevelValidation(t *testing.T) {
-	if _, err := RunEventLevel(Scenario1(), nil, SimConfig{}); err == nil {
+	if _, err := RunEventLevel(scenario(t, "paper1"), nil, SimConfig{}); err == nil {
 		t.Fatal("nil controller accepted")
 	}
 }
@@ -454,7 +464,7 @@ func TestEventLevelValidation(t *testing.T) {
 // modes reject schedules that cannot be applied.
 func TestRuntimeThresholdChange(t *testing.T) {
 	lib := paperLib(t)
-	scn := Scenario1()
+	scn := scenario(t, "paper1")
 	scn.Devices = 40 // 1200 FPS mean: above the 10%-threshold versions
 	relax := []ThresholdChange{{Time: 12.5, Threshold: 0.50}}
 	for _, mode := range []struct {
@@ -523,21 +533,21 @@ func TestRuntimeThresholdChange(t *testing.T) {
 }
 
 func TestChurnValidation(t *testing.T) {
-	s := ScenarioChurn()
+	s := scenario(t, "paper-churn")
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := ScenarioChurn()
+	bad := scenario(t, "paper-churn")
 	bad.Churn.MinDevices = 25 // initial 20 outside range
 	if err := bad.Validate(); err == nil {
 		t.Fatal("initial devices outside churn range accepted")
 	}
-	bad2 := ScenarioChurn()
+	bad2 := scenario(t, "paper-churn")
 	bad2.Churn.MaxStep = 0
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("zero churn step accepted")
 	}
-	bad3 := ScenarioChurn()
+	bad3 := scenario(t, "paper-churn")
 	bad3.Churn.Interval = 0
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("zero churn interval accepted")
@@ -547,7 +557,7 @@ func TestChurnValidation(t *testing.T) {
 // TestChurnVariesDevices: under churn the device count moves within its
 // clamp range and the workload tracks it.
 func TestChurnVariesDevices(t *testing.T) {
-	scn := ScenarioChurn()
+	scn := scenario(t, "paper-churn")
 	wl, err := NewWorkload(scn, newTestRNG())
 	if err != nil {
 		t.Fatal(err)
@@ -573,7 +583,7 @@ func TestChurnVariesDevices(t *testing.T) {
 // TestAdaFlowHandlesChurn: the extension scenario still favours AdaFlow.
 func TestAdaFlowHandlesChurn(t *testing.T) {
 	lib := paperLib(t)
-	scn := ScenarioChurn()
+	scn := scenario(t, "paper-churn")
 	finn, _, err := RunRepeated(scn, func() (Controller, error) {
 		return NewStaticFINN(lib), nil
 	}, 10, 1, SimConfig{})

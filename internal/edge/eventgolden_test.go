@@ -38,22 +38,22 @@ func TestGoldenEventLevel(t *testing.T) {
 		scn  Scenario
 		cfg  SimConfig
 	}{
-		{file: "event_scenario12_chaos.golden", scn: Scenario12(), cfg: SimConfig{
+		{file: "event_scenario12_chaos.golden", scn: scenario(t, "paper12"), cfg: SimConfig{
 			Seed:        1,
 			BatchConfig: BatchConfig{Size: 1},
 			FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 7},
 		}},
-		{file: "event_scenario2_batch8.golden", scn: Scenario2(), cfg: SimConfig{
+		{file: "event_scenario2_batch8.golden", scn: scenario(t, "paper2"), cfg: SimConfig{
 			Seed:            1,
 			AdmissionConfig: AdmissionConfig{Deadline: 0.1},
 			BatchConfig:     BatchConfig{Size: 8},
 		}},
-		{file: "event_scenario12_adapt.golden", scn: Scenario12(), cfg: SimConfig{
+		{file: "event_scenario12_adapt.golden", scn: scenario(t, "paper12"), cfg: SimConfig{
 			Seed:        1,
 			FaultConfig: FaultConfig{Plan: sustainedPlan(t), Seed: 1},
 			Adapt:       adapt.Config{Enabled: true},
 		}},
-		{file: "event_scenario1_poisson.golden", scn: Scenario1(), cfg: SimConfig{
+		{file: "event_scenario1_poisson.golden", scn: scenario(t, "paper1"), cfg: SimConfig{
 			Seed:            1,
 			PoissonArrivals: true,
 		}},

@@ -82,10 +82,10 @@ func TestGoldenTraces(t *testing.T) {
 		plan  *fault.Plan
 		fseed int64
 	}{
-		{file: "scenario1.golden", scn: Scenario1()},
-		{file: "scenario2.golden", scn: Scenario2()},
-		{file: "scenario12.golden", scn: Scenario12()},
-		{file: "scenario12_chaos.golden", scn: Scenario12(), plan: chaosPlan(t), fseed: 7},
+		{file: "scenario1.golden", scn: scenario(t, "paper1")},
+		{file: "scenario2.golden", scn: scenario(t, "paper2")},
+		{file: "scenario12.golden", scn: scenario(t, "paper12")},
+		{file: "scenario12_chaos.golden", scn: scenario(t, "paper12"), plan: chaosPlan(t), fseed: 7},
 	}
 	for _, tc := range cases {
 		tc := tc

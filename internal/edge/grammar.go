@@ -50,8 +50,8 @@ var primitiveKeys = map[string][]string{
 }
 
 // namedSpecs registers the scenario zoo: the paper's three workloads
-// (byte-identical to the historical Scenario1/2/12 constructors — note
-// the explicit name= pins, which keep the per-run RNG stream labels
+// (byte-identical to the historical hand-built scenarios — note the
+// explicit name= pins, which keep the per-run RNG stream labels
 // unchanged) plus one named family per grammar primitive.
 var namedSpecs = map[string]string{
 	// The paper's §V workloads.

@@ -30,6 +30,11 @@ func TestParseScenarioPaperIdentity(t *testing.T) {
 				{Start: 15, Deviation: 0.70, Interval: 0.5},
 			},
 		},
+		"paper-churn": {
+			Name: "scenario-churn", Duration: 25, Devices: 20, PerDeviceFPS: 30,
+			Phases: []Phase{{Start: 0, Deviation: 0.30, Interval: 5}},
+			Churn:  &Churn{MinDevices: 8, MaxDevices: 32, MaxStep: 6, Interval: 2},
+		},
 	}
 	for spec, w := range want {
 		got, err := ParseScenario(spec)
@@ -40,33 +45,15 @@ func TestParseScenarioPaperIdentity(t *testing.T) {
 			t.Errorf("ParseScenario(%q) = %+v, want %+v", spec, got, w)
 		}
 	}
-	// The historical constructors are thin wrappers over the named specs.
-	if !reflect.DeepEqual(Scenario1(), want["paper1"]) {
-		t.Errorf("Scenario1() diverged from paper1")
-	}
-	if !reflect.DeepEqual(Scenario2(), want["paper2"]) {
-		t.Errorf("Scenario2() diverged from paper2")
-	}
-	if !reflect.DeepEqual(Scenario12(), want["paper12"]) {
-		t.Errorf("Scenario12() diverged from paper12")
-	}
-	// paper-churn mirrors ScenarioChurn.
-	pc, err := ParseScenario("paper-churn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pc, ScenarioChurn()) {
-		t.Errorf("paper-churn = %+v, want %+v", pc, ScenarioChurn())
-	}
 }
 
 // TestParseScenarioFreshSlices: each call must build independent slices
 // (callers mutate scenario phases in place).
 func TestParseScenarioFreshSlices(t *testing.T) {
-	a := Scenario1()
+	a := scenario(t, "paper1")
 	a.Phases[0].Deviation = 0.99
-	if b := Scenario1(); b.Phases[0].Deviation != 0.30 {
-		t.Fatalf("Scenario1 calls share phase slices: got deviation %v", b.Phases[0].Deviation)
+	if b := scenario(t, "paper1"); b.Phases[0].Deviation != 0.30 {
+		t.Fatalf("paper1 parses share phase slices: got deviation %v", b.Phases[0].Deviation)
 	}
 }
 
@@ -283,7 +270,7 @@ func TestWorkloadCorr(t *testing.T) {
 func TestPaperScenariosUnchangedRNG(t *testing.T) {
 	ref := sim.RNG(7, "workload/scenario1")
 	rng := sim.RNG(7, "workload/scenario1")
-	wl, err := NewWorkload(Scenario1(), rng)
+	wl, err := NewWorkload(scenario(t, "paper1"), rng)
 	if err != nil {
 		t.Fatal(err)
 	}

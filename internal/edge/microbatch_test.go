@@ -149,7 +149,7 @@ func TestBatchedRunBitIdenticalReplay(t *testing.T) {
 		FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11},
 	}
 	run := func() *Result {
-		res, err := RunEventLevel(Scenario12(), adaflow(t, lib), cfg)
+		res, err := RunEventLevel(scenario(t, "paper12"), adaflow(t, lib), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,14 +161,14 @@ func TestBatchedRunBitIdenticalReplay(t *testing.T) {
 
 	mk := func() (Controller, error) { return adaflow(t, lib), nil }
 	prev := SetMaxParallelRuns(1)
-	serialMean, serialRuns, err := RunRepeated(Scenario12(), mk, 6, 3, cfg)
+	serialMean, serialRuns, err := RunRepeated(scenario(t, "paper12"), mk, 6, 3, cfg)
 	SetMaxParallelRuns(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 0} { // 0 resets to NumCPU
 		old := SetMaxParallelRuns(workers)
-		mean, runs, err := RunRepeated(Scenario12(), mk, 6, 3, cfg)
+		mean, runs, err := RunRepeated(scenario(t, "paper12"), mk, 6, 3, cfg)
 		SetMaxParallelRuns(old)
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestBatchedRunBitIdenticalReplay(t *testing.T) {
 func TestBatchDisabledIsHistoricalPath(t *testing.T) {
 	lib := paperLib(t)
 	run := func(batch int) *Result {
-		res, err := RunEventLevel(Scenario2(), adaflow(t, lib), SimConfig{
+		res, err := RunEventLevel(scenario(t, "paper2"), adaflow(t, lib), SimConfig{
 			Seed: 5, AdmissionConfig: AdmissionConfig{Deadline: 0.1}, BatchConfig: BatchConfig{Size: batch},
 		})
 		if err != nil {
@@ -207,7 +207,7 @@ func TestBatchDisabledIsHistoricalPath(t *testing.T) {
 // batch, mirroring the event-level invariants at fluid granularity.
 func TestFluidBatchAccounting(t *testing.T) {
 	lib := paperLib(t)
-	res, err := Run(Scenario2(), adaflow(t, lib), SimConfig{
+	res, err := Run(scenario(t, "paper2"), adaflow(t, lib), SimConfig{
 		Seed: 7, AdmissionConfig: AdmissionConfig{Deadline: 0.1}, BatchConfig: BatchConfig{Size: 8},
 	})
 	if err != nil {

@@ -17,14 +17,14 @@ func TestRunRepeatedDeterministicAcrossParallelism(t *testing.T) {
 	cfg := SimConfig{FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11}}
 
 	prev := SetMaxParallelRuns(1)
-	serialMean, serialRuns, err := RunRepeated(Scenario12(), mk, n, seed, cfg)
+	serialMean, serialRuns, err := RunRepeated(scenario(t, "paper12"), mk, n, seed, cfg)
 	SetMaxParallelRuns(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 0} { // 0 resets to NumCPU
 		old := SetMaxParallelRuns(workers)
-		mean, runs, err := RunRepeated(Scenario12(), mk, n, seed, cfg)
+		mean, runs, err := RunRepeated(scenario(t, "paper12"), mk, n, seed, cfg)
 		SetMaxParallelRuns(old)
 		if err != nil {
 			t.Fatal(err)

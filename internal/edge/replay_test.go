@@ -14,7 +14,7 @@ import (
 // TestRateTraceJSONLRoundTrip: write → read is lossless (float64 values
 // survive the JSONL encoding exactly).
 func TestRateTraceJSONLRoundTrip(t *testing.T) {
-	tr, err := CaptureRateTrace(Scenario12(), 9)
+	tr, err := CaptureRateTrace(scenario(t, "paper12"), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRateTraceJSONLRoundTrip(t *testing.T) {
 func TestReplayRoundTrip(t *testing.T) {
 	lib := paperLib(t)
 	const seed = 9
-	scn := Scenario12()
+	scn := scenario(t, "paper12")
 
 	tr, err := CaptureRateTrace(scn, seed)
 	if err != nil {

@@ -314,39 +314,6 @@ func (s Scenario) phaseAt(t float64) Phase {
 	return cur
 }
 
-// mustParse backs the historical scenario constructors with the grammar;
-// the registered specs are parsed in tests, so a failure here is a
-// programming error.
-func mustParse(spec string) Scenario {
-	s, err := ParseScenario(spec)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Scenario1 is the paper's stable environment: ±30 % deviation redrawn
-// every 5 s. It is the named grammar spec "paper1".
-func Scenario1() Scenario { return mustParse("paper1") }
-
-// Scenario2 is the unpredictable environment: ±70 % every 500 ms. It is
-// the named grammar spec "paper2".
-func Scenario2() Scenario { return mustParse("paper2") }
-
-// ScenarioChurn extends Scenario 1 with device churn: cameras join and
-// leave the server every 2 s (an extension experiment; the paper motivates
-// it in §I but does not evaluate it).
-func ScenarioChurn() Scenario {
-	s := Scenario1()
-	s.Name = "scenario-churn"
-	s.Churn = &Churn{MinDevices: 8, MaxDevices: 32, MaxStep: 6, Interval: 2}
-	return s
-}
-
-// Scenario12 is the paper's hybrid: stable up to 15 s, then
-// unpredictable. It is the named grammar spec "paper12".
-func Scenario12() Scenario { return mustParse("paper12") }
-
 // Load is one stream's (or one group of identical streams') contribution
 // to a composite scenario: Streams cameras each sustaining FPS frames per
 // second, fluctuating by ±Deviation redrawn every Interval seconds. It is

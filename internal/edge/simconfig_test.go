@@ -12,11 +12,11 @@ func TestRunRepeatedFaultSeedOffset(t *testing.T) {
 	lib := paperLib(t)
 	mk := func() (Controller, error) { return adaflow(t, lib), nil }
 	cfg := SimConfig{FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 11}}
-	_, runs, err := RunRepeated(Scenario12(), mk, 2, 3, cfg)
+	_, runs, err := RunRepeated(scenario(t, "paper12"), mk, 2, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Run(Scenario12(), adaflow(t, lib), SimConfig{
+	one, err := Run(scenario(t, "paper12"), adaflow(t, lib), SimConfig{
 		Seed:        4,
 		FaultConfig: FaultConfig{Plan: chaosPlan(t), Seed: 12},
 	})

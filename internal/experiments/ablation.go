@@ -43,7 +43,10 @@ func AblationSwitchCriteria(multiples []float64, runs int, seed int64) (*Ablatio
 		return nil, err
 	}
 	res := &AblationCriteriaResult{Pair: p}
-	scn := edge.Scenario12()
+	scn, err := edge.NamedScenario("paper12")
+	if err != nil {
+		return nil, err
+	}
 	for _, mult := range multiples {
 		cfg := manager.DefaultConfig()
 		cfg.CriteriaMultiple = mult
@@ -110,7 +113,10 @@ func AblationThreshold(thresholds []float64, runs int, seed int64) (*AblationThr
 		return nil, err
 	}
 	res := &AblationThresholdResult{Pair: p}
-	scn := edge.Scenario2()
+	scn, err := edge.NamedScenario("paper2")
+	if err != nil {
+		return nil, err
+	}
 	for _, th := range thresholds {
 		cfg := manager.DefaultConfig()
 		cfg.AccuracyThreshold = th
@@ -173,11 +179,15 @@ func AblationPolicy(runs int, seed int64) (*AblationPolicyResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	scn, err := edge.NamedScenario("paper1")
+	if err != nil {
+		return nil, err
+	}
 	res := &AblationPolicyResult{Pair: p}
 	for _, pol := range []manager.Policy{manager.PolicyThroughput, manager.PolicyEnergy} {
 		cfg := manager.DefaultConfig()
 		cfg.Policy = pol
-		mean, _, err := edge.RunRepeated(edge.Scenario1(), func() (edge.Controller, error) {
+		mean, _, err := edge.RunRepeated(scn, func() (edge.Controller, error) {
 			mgr, err := manager.New(lib, cfg)
 			if err != nil {
 				return nil, err
@@ -238,16 +248,20 @@ func AblationQueue(sizes []float64, runs int, seed int64) (*AblationQueueResult,
 	if err != nil {
 		return nil, err
 	}
+	scn, err := edge.NamedScenario("paper2")
+	if err != nil {
+		return nil, err
+	}
 	res := &AblationQueueResult{Pair: p}
 	for _, q := range sizes {
 		cfg := edge.SimConfig{AdmissionConfig: edge.AdmissionConfig{QueueFrames: q}}
-		fn, _, err := edge.RunRepeated(edge.Scenario2(), func() (edge.Controller, error) {
+		fn, _, err := edge.RunRepeated(scn, func() (edge.Controller, error) {
 			return edge.NewStaticFINN(lib), nil
 		}, runs, seed, cfg)
 		if err != nil {
 			return nil, err
 		}
-		ada, _, err := edge.RunRepeated(edge.Scenario2(), func() (edge.Controller, error) {
+		ada, _, err := edge.RunRepeated(scn, func() (edge.Controller, error) {
 			mgr, err := manager.New(lib, manager.DefaultConfig())
 			if err != nil {
 				return nil, err

@@ -35,7 +35,10 @@ func ExtChurn(runs int, seed int64) (*ExtChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	scn := edge.ScenarioChurn()
+	scn, err := edge.NamedScenario("paper-churn")
+	if err != nil {
+		return nil, err
+	}
 	ada, _, err := edge.RunRepeated(scn, func() (edge.Controller, error) {
 		mgr, err := manager.New(lib, manager.DefaultConfig())
 		if err != nil {
@@ -85,12 +88,16 @@ func ExtPoolScaling(runs int, seed int64) (*ExtPoolResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	base, err := edge.NamedScenario("paper2")
+	if err != nil {
+		return nil, err
+	}
 	res := &ExtPoolResult{Pair: p}
 	for _, boards := range []int{1, 2, 3, 4} {
-		scn := edge.Scenario2()
+		scn := base
 		scn.Devices *= boards // keep per-board load constant
 		mean, _, err := edge.RunRepeated(scn, func() (edge.Controller, error) {
-			return multiedge.NewPool(lib, boards, manager.DefaultConfig())
+			return multiedge.NewSupervisedPool(lib, multiedge.Config{Boards: boards, Manager: manager.DefaultConfig()})
 		}, runs, seed, edge.SimConfig{})
 		if err != nil {
 			return nil, err

@@ -85,7 +85,10 @@ func Fig1b(runs int, seed int64) (*Fig1bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	scn := edge.Scenario2() // high-variability workload exposes the trade-off
+	scn, err := edge.NamedScenario("paper2") // high-variability workload exposes the trade-off
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig1bResult{Pair: p, Scenario: scn.Name}
 
 	// No-pruning baseline.

@@ -47,11 +47,14 @@ func Fig6(seed int64) (*Fig6Result, error) {
 	// The three scenarios are independent simulations over the read-only
 	// library; run them concurrently into indexed slots and assemble the
 	// series in scenario order, so output is identical to the serial loop.
-	scns := []edge.Scenario{edge.Scenario1(), edge.Scenario2(), edge.Scenario12()}
+	names := []string{"paper1", "paper2", "paper12"}
 	type cell struct{ ada, finn Fig6Series }
-	cells := make([]cell, len(scns))
-	err = parallel.ForEachErr(len(scns), MaxWorkers(), func(i int) error {
-		scn := scns[i]
+	cells := make([]cell, len(names))
+	err = parallel.ForEachErr(len(names), MaxWorkers(), func(i int) error {
+		scn, err := edge.NamedScenario(names[i])
+		if err != nil {
+			return err
+		}
 		mgr, err := manager.New(lib, manager.DefaultConfig())
 		if err != nil {
 			return err

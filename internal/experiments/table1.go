@@ -64,7 +64,11 @@ func Table1(runs int, seed int64) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, scn := range []edge.Scenario{edge.Scenario1(), edge.Scenario2()} {
+		for _, name := range []string{"paper1", "paper2"} {
+			scn, err := edge.NamedScenario(name)
+			if err != nil {
+				return nil, err
+			}
 			ada, _, err := edge.RunRepeated(scn, func() (edge.Controller, error) {
 				mgr, err := manager.New(lib, manager.DefaultConfig())
 				if err != nil {

@@ -28,7 +28,7 @@ func TestGoldenPoolEventLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := edge.RunEventLevel(edge.Scenario1(), p, edge.SimConfig{
+	res, err := edge.RunEventLevel(scenario(t, "paper1"), p, edge.SimConfig{
 		Seed:        1,
 		FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1},
 	})

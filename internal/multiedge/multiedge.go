@@ -226,14 +226,6 @@ func NewSupervisedPool(lib *library.Library, cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// NewPool builds an unsupervised-looking pool of n serving boards — the
-// historical constructor. The pool is still a supervised one; without
-// board-level fault rules its behaviour is identical to the old static
-// splitter.
-func NewPool(lib *library.Library, n int, cfg manager.Config) (*Pool, error) {
-	return NewSupervisedPool(lib, Config{Boards: n, Manager: cfg})
-}
-
 // Boards returns the total pool size (serving set plus standbys).
 func (p *Pool) Boards() int { return len(p.boards) }
 

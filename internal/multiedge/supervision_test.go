@@ -49,7 +49,7 @@ func TestChaosAcceptanceCrashTwoOfFour(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		sink := obs.NewJSONL(&buf)
-		res, err := edge.Run(edge.Scenario12(), p, edge.SimConfig{
+		res, err := edge.Run(scenario(t, "paper12"), p, edge.SimConfig{
 			Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}, AdmissionConfig: edge.AdmissionConfig{Deadline: 0.05},
 		}, edge.WithTracer(obs.New(sink, obs.Sample(1))))
 		if err != nil {
@@ -85,7 +85,7 @@ func TestChaosAcceptanceCrashTwoOfFour(t *testing.T) {
 	if got, want := p.State(1), Dead; got != want {
 		t.Errorf("board 1 state = %v, want %v", got, want)
 	}
-	s, _, _, _ := p.React(edge.Scenario12().Duration, 600)
+	s, _, _, _ := p.React(scenario(t, "paper12").Duration, 600)
 	if s.Label != "pool[2/4]" {
 		t.Errorf("post-run serving label = %q, want pool[2/4]", s.Label)
 	}
@@ -128,7 +128,7 @@ func TestChaosPropertyKillHalf(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		sink := obs.NewJSONL(&buf)
-		res, err := edge.Run(edge.Scenario12(), p, edge.SimConfig{
+		res, err := edge.Run(scenario(t, "paper12"), p, edge.SimConfig{
 			Seed: seed, FaultConfig: edge.FaultConfig{Plan: plan, Seed: seed * 31}, RecordTrace: true, AdmissionConfig: edge.AdmissionConfig{Deadline: 0.1},
 		}, edge.WithTracer(obs.New(sink, obs.Sample(1))))
 		if err != nil {
@@ -190,7 +190,7 @@ func TestPoolStandbyPromotionAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
+	res, err := edge.Run(scenario(t, "paper1"), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestPoolQuorumDegradedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
+	res, err := edge.Run(scenario(t, "paper1"), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestPoolHangSuspectDeadRecover(t *testing.T) {
 	}
 	ring := obs.NewRing(4096)
 	poolOnly := obs.Filter(ring, func(ev obs.Event) bool { return ev.Cat == obs.PoolCat })
-	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}},
+	res, err := edge.Run(scenario(t, "paper1"), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}},
 		edge.WithTracer(obs.New(poolOnly)))
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestPoolEffectiveCapacityWeighting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
+		res, err := edge.Run(scenario(t, "paper1"), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestPoolBlackoutServesNothingWithCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := edge.Run(edge.Scenario1(), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
+	res, err := edge.Run(scenario(t, "paper1"), p, edge.SimConfig{Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestGoldenPoolTraces(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				_, err = edge.Run(edge.Scenario12(), p, edge.SimConfig{
+				_, err = edge.Run(scenario(t, "paper12"), p, edge.SimConfig{
 					Seed: 1, FaultConfig: edge.FaultConfig{Plan: plan, Seed: 1},
 				}, edge.WithTracer(tr))
 				return err

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 
 	"repro/internal/quant"
@@ -20,26 +19,24 @@ import (
 // counters record it). Training, float layers, grids wider than 8 bits
 // and layers with no known input grid (the image input) always take the
 // float reference, which the backward pass and the dataflow compiler
-// consume. Set ADAFLOW_FLOAT_GEMM=1 (or call SetInt8GEMM(false)) to force
-// the float reference at inference time too, e.g. when bisecting a
-// numeric difference against the compiled dataflow programs.
+// consume. Call SetInt8GEMM(false) to force the float reference at
+// inference time too, e.g. when bisecting a numeric difference against the
+// compiled dataflow programs.
 
-var int8GEMM atomic.Bool
-
-func init() {
-	int8GEMM.Store(os.Getenv("ADAFLOW_FLOAT_GEMM") == "")
-}
+// floatGEMM forces the float reference; its zero value leaves the integer
+// path on.
+var floatGEMM atomic.Bool
 
 // SetInt8GEMM enables or disables the integer inference path for
 // quantized layers, returning the previous setting. Safe for concurrent
 // use; in-flight forwards keep the path they chose.
 func SetInt8GEMM(on bool) bool {
-	return int8GEMM.Swap(on)
+	return !floatGEMM.Swap(!on)
 }
 
 // Int8GEMMEnabled reports whether quantized layers take the integer path
 // at inference time.
-func Int8GEMMEnabled() bool { return int8GEMM.Load() }
+func Int8GEMMEnabled() bool { return !floatGEMM.Load() }
 
 // intPath is the integer inference state of a quantized Conv2D or Dense.
 type intPath struct {

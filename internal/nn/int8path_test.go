@@ -135,7 +135,7 @@ func TestQuantizedDenseTakesInt8Path(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	NewNetwork(act, NewFlatten("f"), d)
+	net := NewNetwork(act, NewFlatten("f"), d)
 	effW, err := d.EffectiveWeights()
 	if err != nil {
 		t.Fatal(err)
@@ -144,33 +144,50 @@ func TestQuantizedDenseTakesInt8Path(t *testing.T) {
 	if d.intForwards != 1 || d.floatFwds != 1 {
 		t.Fatalf("int=%d float=%d, want one forward on each path", d.intForwards, d.floatFwds)
 	}
+	// An off-grid image through the whole network reaches the dense layer
+	// on the QuantAct's grid, so the network forward is an integer one.
+	raw := tensor.New(137)
+	for i := range raw.Data() {
+		raw.Data()[i] = float32(rng.NormFloat64())
+	}
+	if _, err := net.Forward(raw, false); err != nil {
+		t.Fatal(err)
+	}
+	if d.intForwards != 2 || d.floatFwds != 1 {
+		t.Fatalf("network forward: int=%d float=%d, want 2/1", d.intForwards, d.floatFwds)
+	}
 }
 
 func TestInt8PathBitIdenticalAcrossWorkers(t *testing.T) {
 	forceInt8(t)
 	prevGrain := tensor.SetParallelGrain(1)
 	defer tensor.SetParallelGrain(prevGrain)
-	c, x := testConv(t, 3, true)
-	var first []float32
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		prev := tensor.SetMaxWorkers(workers)
-		out, err := c.Forward(x, false)
-		tensor.SetMaxWorkers(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = append([]float32(nil), out.Data()...)
-			continue
-		}
-		for i, v := range out.Data() {
-			if v != first[i] {
-				t.Fatalf("workers=%d: out[%d] = %v, 1-worker %v", workers, i, v, first[i])
+	// The float reference, forced with the switch off, must be as
+	// worker-independent as the integer path.
+	for _, int8 := range []bool{true, false} {
+		SetInt8GEMM(int8)
+		c, x := testConv(t, 3, true)
+		var first []float32
+		for _, workers := range []int{1, 2, runtime.NumCPU()} {
+			prev := tensor.SetMaxWorkers(workers)
+			out, err := c.Forward(x, false)
+			tensor.SetMaxWorkers(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = append([]float32(nil), out.Data()...)
+				continue
+			}
+			for i, v := range out.Data() {
+				if v != first[i] {
+					t.Fatalf("int8=%v workers=%d: out[%d] = %v, 1-worker %v", int8, workers, i, v, first[i])
+				}
 			}
 		}
-	}
-	if c.intForwards != 3 {
-		t.Fatalf("intForwards = %d, want 3", c.intForwards)
+		if onPath := map[bool]int{true: c.intForwards, false: c.floatFwds}[int8]; onPath != 3 {
+			t.Fatalf("int8=%v: int=%d float=%d forwards, want 3 on the selected path", int8, c.intForwards, c.floatFwds)
+		}
 	}
 }
 

@@ -4,11 +4,11 @@
 // activations), a sequential network container, and the softmax
 // cross-entropy loss.
 //
-// Training and inference process one sample at a time (Network.ForwardBatch
-// is a loop over Forward). Quantized layers with an on-grid input infer on
-// the bit-plane integer kernel (see SetInt8GEMM). Layers cache forward
-// state for the following backward call, so a network must not be shared
-// between goroutines without external synchronization.
+// Training and inference process one sample at a time. Quantized layers
+// with an on-grid input infer on the bit-plane integer kernel (see
+// SetInt8GEMM). Layers cache forward state for the following backward
+// call, so a network must not be shared between goroutines without
+// external synchronization.
 //
 // Quantization follows FINN/Brevitas conventions: weights are
 // fake-quantized on the forward pass with straight-through gradients, and

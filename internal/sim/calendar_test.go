@@ -22,9 +22,6 @@ func calendarOf(t *testing.T, e *Engine) *calendarQueue {
 
 func TestNewEngineDefaultsToCalendar(t *testing.T) {
 	calendarOf(t, NewEngine())
-	if _, ok := NewEngineWithQueue(HeapQueue).q.(*heapQueue); !ok {
-		t.Fatal("HeapQueue engine not heap-backed")
-	}
 }
 
 // Canceling an event that sits in a bucket the scan cursor has not reached
@@ -153,9 +150,9 @@ func TestCalendarMatchesHeapDifferential(t *testing.T) {
 			t   float64
 			tag int
 		}
-		run := func(kind QueueKind) ([]rec, Stats) {
+		run := func(newEngine func() *Engine) ([]rec, Stats) {
 			rng := rand.New(rand.NewSource(seed))
-			e := NewEngineWithQueue(kind)
+			e := newEngine()
 			var fired []rec
 			var handles []Handle
 			tag := 0
@@ -184,8 +181,8 @@ func TestCalendarMatchesHeapDifferential(t *testing.T) {
 			e.Run(1e12)
 			return fired, e.Stats()
 		}
-		calFired, calStats := run(CalendarQueue)
-		heapFired, heapStats := run(HeapQueue)
+		calFired, calStats := run(NewEngine)
+		heapFired, heapStats := run(newHeapEngine)
 		if len(calFired) != len(heapFired) {
 			t.Fatalf("seed %d: calendar fired %d, heap fired %d", seed, len(calFired), len(heapFired))
 		}
@@ -242,9 +239,9 @@ func FuzzCalendarQueue(f *testing.F) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
-		run := func(kind QueueKind) ([]int, Stats, float64) {
+		run := func(newEngine func() *Engine) ([]int, Stats, float64) {
 			rng := rand.New(rand.NewSource(seed))
-			e := NewEngineWithQueue(kind)
+			e := newEngine()
 			var fired []int
 			var handles []Handle
 			id := 0
@@ -270,8 +267,8 @@ func FuzzCalendarQueue(f *testing.F) {
 			e.Run(1e9)
 			return fired, e.Stats(), e.Now()
 		}
-		calFired, calStats, calNow := run(CalendarQueue)
-		heapFired, heapStats, heapNow := run(HeapQueue)
+		calFired, calStats, calNow := run(NewEngine)
+		heapFired, heapStats, heapNow := run(newHeapEngine)
 		if len(calFired) != len(heapFired) {
 			t.Fatalf("calendar fired %d, heap %d", len(calFired), len(heapFired))
 		}

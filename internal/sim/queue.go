@@ -1,12 +1,10 @@
 package sim
 
-import "container/heap"
-
 // eventQueue is the engine's pending-event priority queue. Ordering is by
-// (time, seq): nondecreasing time, FIFO within a time. Two implementations
-// exist — the bucketed calendar queue (calendar.go), the default, and the
-// original container/heap binary heap below, kept for differential tests
-// and benchmarks. Both hold canceled events (fn == nil) until popped or
+// (time, seq): nondecreasing time, FIFO within a time. The engine runs on
+// the bucketed calendar queue (calendar.go); the tests substitute the
+// original container/heap binary heap (heap_test.go) as a differential
+// oracle. Both hold canceled events (fn == nil) until popped or
 // compacted; the Engine owns that lazy-deletion accounting.
 type eventQueue interface {
 	// push inserts an event. The queue owns ev.next until the event is
@@ -29,58 +27,4 @@ func eventLess(a, b *event) bool {
 		return a.time < b.time
 	}
 	return a.seq < b.seq
-}
-
-// heapQueue adapts the original binary-heap implementation to eventQueue.
-type heapQueue struct {
-	h eventHeap
-}
-
-func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
-
-func (q *heapQueue) peek() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*event)
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
-func (q *heapQueue) compact(recycle func(*event)) {
-	live := q.h[:0]
-	for _, ev := range q.h {
-		if ev.fn == nil {
-			recycle(ev)
-		} else {
-			live = append(live, ev)
-		}
-	}
-	for i := len(live); i < len(q.h); i++ {
-		q.h[i] = nil
-	}
-	q.h = live
-	heap.Init(&q.h)
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
 }

@@ -10,18 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// QueueKind selects the Engine's pending-event queue implementation.
-type QueueKind int
-
-const (
-	// CalendarQueue is the default: a bucketed calendar queue with O(1)
-	// amortized operations and allocation-free steady state (calendar.go).
-	CalendarQueue QueueKind = iota
-	// HeapQueue is the original container/heap binary heap, kept for
-	// differential tests and benchmarks against the calendar queue.
-	HeapQueue
-)
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
@@ -67,20 +55,8 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) SetTracer(tr *obs.Trace) { e.trace = tr }
 
 // NewEngine returns an engine with the clock at zero, backed by the
-// default calendar queue.
-func NewEngine() *Engine { return NewEngineWithQueue(CalendarQueue) }
-
-// NewEngineWithQueue returns an engine backed by the given queue
-// implementation. Both kinds dispatch identical event sequences; they
-// differ only in cost.
-func NewEngineWithQueue(kind QueueKind) *Engine {
-	switch kind {
-	case HeapQueue:
-		return &Engine{q: &heapQueue{}}
-	default:
-		return &Engine{q: newCalendarQueue()}
-	}
-}
+// calendar queue.
+func NewEngine() *Engine { return &Engine{q: newCalendarQueue()} }
 
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }

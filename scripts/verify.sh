@@ -1,6 +1,8 @@
 #!/bin/sh
-# Full local verification: formatting, vet, build, tests, and the race
-# detector over the packages that use the tensor worker pool.
+# Full local verification: formatting, vet, build, tests, fuzz smokes, the
+# race detector over the concurrent compute packages and the serving stack
+# (make test-race), the chaos and golden-trace suites, and the benchmark
+# overhead guards against BENCH.json.
 # Run from the repository root (or via `make verify`).
 set -eu
 
